@@ -27,7 +27,8 @@ ClassifierSystem::ClassifierSystem(const Trace& trace,
       core_(trace.catalog, oracle, serving_config_of(config),
             history_table_capacity(config.m, config.h, config.p,
                                    config.ota.history_table_factor)),
-      trainer_(oracle, config.ota, config.m, config.cost_v) {}
+      trainer_(oracle, config.ota, config.m, config.cost_v),
+      schedule_(config.ota) {}
 
 bool ClassifierSystem::admit(std::uint64_t index, const Request& request,
                              const PhotoMeta& photo) {
@@ -43,19 +44,7 @@ void ClassifierSystem::observe(std::uint64_t index, const Request& request,
 
   // Retraining (§4.4.3): daily at the trough hour, or — in the
   // "incremental" alternative — every retrain_interval_hours.
-  bool due = false;
-  if (config_.ota.retrain_interval_hours > 0.0) {
-    const auto interval = static_cast<std::int64_t>(
-        config_.ota.retrain_interval_hours * kSecondsPerHour);
-    due = last_trained_time_ == std::numeric_limits<std::int64_t>::min() ||
-          request.time.seconds - last_trained_time_ >= interval;
-  } else {
-    const std::int64_t day = day_index(request.time);
-    due = hour_of_day(request.time) >= config_.ota.retrain_hour &&
-          day > last_trained_day_;
-    if (due) last_trained_day_ = day;
-  }
-  if (due) {
+  if (schedule_.due(request.time)) {
     // Retrain failures and rejected models must not take down serving:
     // keep the last-good tree (or the admit-all fallback when none).
     // Fit timing is observed only when metrics are bound (no clock reads
@@ -87,7 +76,6 @@ void ClassifierSystem::observe(std::uint64_t index, const Request& request,
                             std::chrono::steady_clock::now() - started)
                             .count());
     }
-    last_trained_time_ = request.time.seconds;
   }
 }
 
@@ -112,8 +100,8 @@ ClassifierSnapshot ClassifierSystem::snapshot() const {
   snap.samples.assign(trainer_.samples().begin(), trainer_.samples().end());
   snap.trainer_minute = trainer_.current_minute();
   snap.trainer_minute_count = trainer_.minute_count();
-  snap.last_trained_day = last_trained_day_;
-  snap.last_trained_time = last_trained_time_;
+  snap.last_trained_day = schedule_.last_trained_day();
+  snap.last_trained_time = schedule_.last_trained_time();
   snap.trainings = trainings_;
   return snap;
 }
@@ -122,8 +110,7 @@ bool ClassifierSystem::restore(const ClassifierSnapshot& snapshot) {
   core_.history.restore(snapshot.history, snapshot.history_rectified);
   trainer_.restore({snapshot.samples.begin(), snapshot.samples.end()},
                    snapshot.trainer_minute, snapshot.trainer_minute_count);
-  last_trained_day_ = snapshot.last_trained_day;
-  last_trained_time_ = snapshot.last_trained_time;
+  schedule_.restore(snapshot.last_trained_day, snapshot.last_trained_time);
   trainings_ = snapshot.trainings;
 
   model_.reset();  // absent/corrupt model == admit-all (Original behavior)

@@ -113,8 +113,7 @@ class ClassifierSystem final : public AdmissionPolicy {
   obs::MetricsRegistry::Counter fit_skipped_ = nullptr;
   obs::MetricsRegistry::Counter models_published_ = nullptr;
 
-  std::int64_t last_trained_day_ = std::numeric_limits<std::int64_t>::min();
-  std::int64_t last_trained_time_ = std::numeric_limits<std::int64_t>::min();
+  RetrainSchedule schedule_;
   int trainings_ = 0;
 };
 

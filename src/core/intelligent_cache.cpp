@@ -53,6 +53,31 @@ double IntelligentCache::cost_v_for(std::uint64_t capacity_bytes,
                                                        : ota.cost_v_large;
 }
 
+void IntelligentCache::fill_criteria(const RunConfig& config,
+                                     RunResult& result) const {
+  if (!classifies(config.mode)) return;
+  const double h = config.hit_rate_estimate
+                       ? *config.hit_rate_estimate
+                       : estimate_hit_rate(config.capacity_bytes);
+  result.criteria = compute_criteria(*trace_, oracle_, config.capacity_bytes,
+                                     h, config.ota.criteria_iterations);
+  if (config.policy == PolicyKind::lirs) {
+    // §5.2: the LIRS stack only shields its LIR share, so the criteria
+    // threshold shrinks by R_s.
+    result.criteria.m =
+        lirs_criteria(result.criteria.m, config.lirs_lir_fraction);
+  }
+  result.cost_v = cost_v_for(config.capacity_bytes, config.ota);
+}
+
+double IntelligentCache::mean_latency_us(const RunConfig& config,
+                                         double hit_rate) {
+  const LatencyModel latency{config.latency};
+  return classifies(config.mode)
+             ? latency.mean_access_time_proposed_us(hit_rate)
+             : latency.mean_access_time_original_us(hit_rate);
+}
+
 RunResult IntelligentCache::run(const RunConfig& config) const {
   if (config.capacity_bytes == 0) {
     throw std::invalid_argument("IntelligentCache: zero capacity");
@@ -67,8 +92,7 @@ RunResult IntelligentCache::run(const RunConfig& config) const {
   // latency recorder resolves its two bucket indices up front, so the
   // per-request cost in the simulator loop is a single bucket increment.
   const LatencyModel latency{config.latency};
-  const bool classified_path = config.mode == AdmissionMode::proposal ||
-                               config.mode == AdmissionMode::ideal;
+  const bool classified_path = classifies(config.mode);
   obs::MetricsRegistry registry;
   obs::LatencyRecorder recorder{
       registry.histogram(kLatencyHistogramName,
@@ -77,23 +101,7 @@ RunResult IntelligentCache::run(const RunConfig& config) const {
       latency.request_latency_us(false, classified_path)};
   sim.set_latency_recorder(&recorder);
 
-  const bool needs_criteria = config.mode == AdmissionMode::proposal ||
-                              config.mode == AdmissionMode::ideal;
-  if (needs_criteria) {
-    const double h = config.hit_rate_estimate
-                         ? *config.hit_rate_estimate
-                         : estimate_hit_rate(config.capacity_bytes);
-    result.criteria =
-        compute_criteria(*trace_, oracle_, config.capacity_bytes, h,
-                         config.ota.criteria_iterations);
-    if (config.policy == PolicyKind::lirs) {
-      // §5.2: the LIRS stack only shields its LIR share, so the criteria
-      // threshold shrinks by R_s.
-      result.criteria.m =
-          lirs_criteria(result.criteria.m, config.lirs_lir_fraction);
-    }
-    result.cost_v = cost_v_for(config.capacity_bytes, config.ota);
-  }
+  fill_criteria(config, result);
 
   switch (config.mode) {
     case AdmissionMode::original: {
@@ -133,12 +141,8 @@ RunResult IntelligentCache::run(const RunConfig& config) const {
     }
   }
 
-  const double hit_rate = result.stats.file_hit_rate();
   result.mean_latency_us =
-      config.mode == AdmissionMode::original ||
-              config.mode == AdmissionMode::bypass
-          ? latency.mean_access_time_original_us(hit_rate)
-          : latency.mean_access_time_proposed_us(hit_rate);
+      mean_latency_us(config, result.stats.file_hit_rate());
 
   // Final (end-of-run) snapshot: the unsharded path is one shard by
   // definition, so per_shard mirrors merged and the timeline has a single

@@ -31,6 +31,12 @@ enum class AdmissionMode { original, proposal, ideal, bypass };
 
 [[nodiscard]] std::string admission_mode_name(AdmissionMode mode);
 
+/// Modes that decide admission per miss (the classifier or its oracle):
+/// they need the criteria M and pay t_classify on every miss (Eq. 6).
+[[nodiscard]] constexpr bool classifies(AdmissionMode mode) noexcept {
+  return mode == AdmissionMode::proposal || mode == AdmissionMode::ideal;
+}
+
 struct RunConfig {
   PolicyKind policy = PolicyKind::lru;
   std::uint64_t capacity_bytes = 0;
@@ -53,7 +59,7 @@ struct RunConfig {
   /// Overload-resilience layer (core/resilience.h): bounded shard queues
   /// with degradation states, the retrain watchdog, and storage retry.
   /// Every default keeps the replay bit-identical to a build without the
-  /// layer; only ShardedCache::run consumes it.
+  /// layer; only the sharded front ends (core/shard_engine.h) consume it.
   ResilienceConfig resilience{};
 };
 
@@ -113,6 +119,17 @@ class IntelligentCache {
   /// Cost v for a capacity per the §4.4.1 schedule.
   [[nodiscard]] double cost_v_for(std::uint64_t capacity_bytes,
                                   const OtaConfig& ota) const;
+
+  /// The §4 setup every front end shares: for the classifying modes, the
+  /// criteria M (from config.hit_rate_estimate or the memoized LRU
+  /// estimate; LIRS-adjusted, §5.2) and the cost v into `result`. Other
+  /// modes leave both zero.
+  void fill_criteria(const RunConfig& config, RunResult& result) const;
+
+  /// Eq. 3 at `hit_rate` with the miss penalty of `config.mode`: Eq. 6
+  /// for the classifying modes, Eq. 5 otherwise.
+  [[nodiscard]] static double mean_latency_us(const RunConfig& config,
+                                              double hit_rate);
 
  private:
   const Trace* trace_;

@@ -67,9 +67,8 @@ void ServingCore::bind_metrics(obs::MetricsRegistry& registry) {
   metrics_bound_ = true;
 }
 
-template <class Model>
-bool ServingCore::admit_impl(const Model* model, std::uint64_t index,
-                             const Request& request, const PhotoMeta& photo) {
+bool ServingCore::admit(const ml::CompiledTree* model, std::uint64_t index,
+                        const Request& request, const PhotoMeta& photo) {
   if (model == nullptr) {
     if constexpr (obs::kEnabled) {
       if (metrics_bound_) ++*metrics_.no_model_admits;
@@ -109,16 +108,6 @@ bool ServingCore::admit_impl(const Model* model, std::uint64_t index,
   }
 
   return finish_admit(predicted_one_time, index, request);
-}
-
-bool ServingCore::admit(const ml::DecisionTree* model, std::uint64_t index,
-                        const Request& request, const PhotoMeta& photo) {
-  return admit_impl(model, index, request, photo);
-}
-
-bool ServingCore::admit(const ml::CompiledTree* model, std::uint64_t index,
-                        const Request& request, const PhotoMeta& photo) {
-  return admit_impl(model, index, request, photo);
 }
 
 bool ServingCore::finish_admit(bool predicted_one_time, std::uint64_t index,

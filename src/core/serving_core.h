@@ -1,6 +1,6 @@
 // Per-stream serving half of the classification system (Fig. 4), split out
 // of ClassifierSystem so it can be instantiated once per shard by the
-// sharded serving layer (core/sharded_cache.h) while the unsharded
+// sharded serving engine (core/shard_engine.h) while the unsharded
 // ClassifierSystem keeps wrapping exactly the same code — that shared body
 // is what makes the shards=1 path bit-identical to the single-threaded
 // system by construction.
@@ -122,14 +122,11 @@ class ServingCore {
   ServingCore(const PhotoCatalog& catalog, const NextAccessInfo& oracle,
               ServingConfig config, std::size_t history_capacity);
 
-  /// Steps 4-7 of §4.2 against the given model (nullptr = no model yet):
-  /// extract features, predict one-time vs not, rectify via the history
-  /// table, record daily metrics. Degrades to plain admission on
-  /// non-finite features or a throwing predict.
-  bool admit(const ml::DecisionTree* model, std::uint64_t index,
-             const Request& request, const PhotoMeta& photo);
-  /// Same serving semantics over a flattened tree (the unsharded system
-  /// and the stress suite serve from a CompiledTree snapshot).
+  /// Steps 4-7 of §4.2 against the given flattened model (nullptr = no
+  /// model yet): extract features, predict one-time vs not, rectify via
+  /// the history table, record daily metrics. Degrades to plain admission
+  /// on non-finite features or a throwing predict. The unsharded system
+  /// and the stress suite serve through this scalar entry point.
   bool admit(const ml::CompiledTree* model, std::uint64_t index,
              const Request& request, const PhotoMeta& photo);
 
@@ -202,7 +199,7 @@ class ServingCore {
   }
 
   // Components, exposed for snapshotting (ClassifierSystem) and merging
-  // (ShardedCache): each instance is single-stream, so outside access is
+  // (ShardEngine): each instance is single-stream, so outside access is
   // only valid when no admit/extract/observe is in flight.
   FeatureExtractor extractor;
   HistoryTable history;
@@ -210,10 +207,6 @@ class ServingCore {
   DegradationCounters degradation;
 
  private:
-  template <class Model>
-  bool admit_impl(const Model* model, std::uint64_t index,
-                  const Request& request, const PhotoMeta& photo);
-
   /// Shared tail of every admission decision: predict counters, history
   /// rectify/record, daily confusion metrics. Returns the admit verdict.
   bool finish_admit(bool predicted_one_time, std::uint64_t index,

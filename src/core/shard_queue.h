@@ -10,7 +10,7 @@
 // high watermark, the shard degrades, and hysteresis keeps it from
 // flapping on the way back down.
 //
-// State semantics (enforced by the caller, core/sharded_cache.cpp):
+// State semantics (enforced by the caller, core/shard_engine.cpp):
 //   Normal   — full ML admission path (batched CART classify).
 //   Degraded — the paper's Original policy: admit everything cheap,
 //              skip feature extraction/classification entirely.

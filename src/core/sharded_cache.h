@@ -6,11 +6,14 @@
 // ML-driven cloud block-store caches of arXiv:2501.14770) — the keyspace
 // partition means shards share no mutable state on the request path.
 //
-// The CART model is the one deliberately shared piece: a read-mostly
-// shared_ptr slot (core/model_slot.h) that workers snapshot and the
-// trainer swaps after each retrain. Training samples are budgeted into
-// per-shard buffers (each shard applies its 1/N slice of the §3.1.1
-// per-minute rate) and drained by the global trainer at retrain barriers.
+// ShardedCache::run is a driver over the serving engine
+// (core/shard_engine.h), the same engine the otacd daemon drives: it
+// partitions the trace, feeds each shard's index list to
+// ShardEngine::serve_batch in micro-batches that never cross a retrain
+// trigger, and calls ShardEngine::barrier at every trigger. The CART
+// model is the one deliberately shared piece, published by the barrier
+// into a seqlock slot (core/model_slot.h) that shards reload once per
+// generation.
 //
 // Determinism is a design invariant, not an accident:
 //  - the partition is a pure function of the photo id (shard_of_photo);
@@ -38,11 +41,11 @@ namespace otac {
 [[nodiscard]] std::size_t shard_of_photo(PhotoId photo,
                                          std::size_t shards) noexcept;
 
-/// Request indices at which ClassifierSystem's retrain schedule fires
-/// (daily at the trough hour, or every retrain_interval_hours), precomputed
-/// from request times alone. The sharded replay uses them as barriers: all
-/// shards finish requests <= trigger, the trainer drains the shard buffers
-/// and retrains, the new model is atomically published, replay resumes.
+/// Request indices at which the retrain schedule fires (RetrainSchedule,
+/// the one ClassifierSystem also runs), precomputed from request times
+/// alone. The sharded front ends use them as barriers: all shards finish
+/// requests <= trigger, the trainer drains the shard buffers and
+/// retrains, the new model is atomically published, serving resumes.
 [[nodiscard]] std::vector<std::uint64_t> retrain_trigger_indices(
     const Trace& trace, const OtaConfig& ota);
 

@@ -8,6 +8,26 @@
 
 namespace otac {
 
+RetrainSchedule::RetrainSchedule(const OtaConfig& ota)
+    : retrain_hour_(ota.retrain_hour),
+      interval_mode_(ota.retrain_interval_hours > 0.0),
+      interval_seconds_(static_cast<std::int64_t>(ota.retrain_interval_hours *
+                                                  kSecondsPerHour)) {}
+
+bool RetrainSchedule::due(SimTime time) {
+  bool due = false;
+  if (interval_mode_) {
+    due = last_trained_time_ == kNever ||
+          time.seconds - last_trained_time_ >= interval_seconds_;
+  } else {
+    const std::int64_t day = day_index(time);
+    due = hour_of_day(time) >= retrain_hour_ && day > last_trained_day_;
+    if (due) last_trained_day_ = day;
+  }
+  if (due) last_trained_time_ = time.seconds;
+  return due;
+}
+
 DailyTrainer::DailyTrainer(const NextAccessInfo& oracle, OtaConfig config,
                            double m, double cost_v)
     : oracle_(&oracle), config_(config), m_(m), cost_v_(cost_v) {}

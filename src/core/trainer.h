@@ -11,6 +11,7 @@
 #pragma once
 
 #include <deque>
+#include <limits>
 #include <optional>
 
 #include "core/config.h"
@@ -25,6 +26,42 @@ struct TrainingSample {
   std::array<float, FeatureExtractor::kFeatureCount> features;
   std::uint64_t index = 0;  // trace position
   SimTime time{};
+};
+
+/// When the model retrains (§4.4.3): daily at the trough hour, or — in the
+/// "incremental" alternative — every retrain_interval_hours. The schedule
+/// reads only request times, which is what lets the sharded front ends
+/// precompute their barriers (retrain_trigger_indices).
+class RetrainSchedule {
+ public:
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::min();
+
+  explicit RetrainSchedule(const OtaConfig& ota);
+
+  /// True when a retrain is due at `time`. Every due event advances the
+  /// schedule, whether or not the retrain it triggers produces a model.
+  bool due(SimTime time);
+
+  [[nodiscard]] std::int64_t last_trained_day() const noexcept {
+    return last_trained_day_;
+  }
+  [[nodiscard]] std::int64_t last_trained_time() const noexcept {
+    return last_trained_time_;
+  }
+  /// Resume from checkpointed state.
+  void restore(std::int64_t last_trained_day,
+               std::int64_t last_trained_time) noexcept {
+    last_trained_day_ = last_trained_day;
+    last_trained_time_ = last_trained_time;
+  }
+
+ private:
+  int retrain_hour_;
+  bool interval_mode_;
+  std::int64_t interval_seconds_;
+  std::int64_t last_trained_day_ = kNever;
+  std::int64_t last_trained_time_ = kNever;
 };
 
 class DailyTrainer {

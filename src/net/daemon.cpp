@@ -6,11 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <deque>
-#include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -20,21 +16,13 @@
 #include <thread>
 #include <vector>
 
-#include "cachesim/cache_policy.h"
-#include "core/history_table.h"
-#include "core/model_slot.h"
 #include "core/run_metrics.h"
-#include "core/serving_core.h"
-#include "core/shard_queue.h"
+#include "core/shard_engine.h"
 #include "core/sharded_cache.h"
-#include "core/trainer.h"
-#include "core/trainer_watchdog.h"
-#include "ml/compiled_tree.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "storage/latency_model.h"
-#include "util/failpoint.h"
 
 namespace otac::net {
 
@@ -61,7 +49,7 @@ struct Envelope {
   std::shared_ptr<Connection> conn;
   std::uint64_t sequence = 0;
   std::uint64_t index = 0;  ///< trace request index (GET only)
-  Request request{};
+  PhotoId photo = 0;
   bool is_put = false;
 };
 
@@ -146,27 +134,29 @@ class InboundQueue {
   bool stopped_ = false;
 };
 
-/// Everything one shard touches on the request path — the daemon-side
-/// twin of the replay's ShardState (core/sharded_cache.cpp), plus the
-/// inbound queue and worker thread that replace the replay's index lists.
-struct Shard {
-  explicit Shard(std::size_t queue_capacity) : inbound(queue_capacity) {}
+/// The transport half of one shard: its inbound queue and the worker
+/// thread that feeds the queue's requests to the shard engine.
+struct ShardWorker {
+  explicit ShardWorker(std::size_t queue_capacity) : inbound(queue_capacity) {}
 
   InboundQueue inbound;
-  std::thread worker;
-  std::unique_ptr<CachePolicy> policy;
-  std::unique_ptr<ServingCore> core;      // proposal only
-  std::unique_ptr<DailyTrainer> sampler;  // proposal only
-  std::unique_ptr<ShardQueue> fluid;      // proposal + overload only
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  obs::LatencyRecorder recorder;
-  obs::FixedHistogram* batch_sizes = nullptr;   // proposal only
+  std::thread thread;
   obs::FixedHistogram* gather_sizes = nullptr;  // physical gather width
-  ml::CompiledTree compiled;  // per-shard model snapshot (proposal only)
-  const ml::CompiledTree* tree = nullptr;
-  std::uint64_t model_epoch = std::numeric_limits<std::uint64_t>::max();
-  CacheStats stats;
 };
+
+ResultStatus status_of(ShardEngine::Outcome outcome) noexcept {
+  switch (outcome) {
+    case ShardEngine::Outcome::hit:
+      return ResultStatus::hit;
+    case ShardEngine::Outcome::stored:
+      return ResultStatus::miss_admitted;
+    case ShardEngine::Outcome::rejected:
+      break;
+    case ShardEngine::Outcome::shed:
+      return ResultStatus::shed;
+  }
+  return ResultStatus::miss_rejected;
+}
 
 }  // namespace
 
@@ -174,45 +164,22 @@ struct Daemon::Impl {
   Impl(const IntelligentCache& system_in, DaemonConfig config_in)
       : system(&system_in),
         trace(&system_in.trace()),
-        oracle(&system_in.oracle()),
         config(std::move(config_in)) {}
 
   const IntelligentCache* system;
   const Trace* trace;
-  const NextAccessInfo* oracle;
   DaemonConfig config;
 
-  bool is_proposal = false;
-  bool classified_path = false;
-  std::size_t gather_max = ServingCore::kAdmissionBatchCapacity;
-  LatencyModel latency{LatencyConfig{}};
   double hit_latency_us = 0.0;
   double miss_latency_us = 0.0;
-  std::size_t model_arity = 0;
 
+  // Everything that serves, retrains and reports (built by start()).
+  // Readers dispatch under a shared lock; a barrier takes it exclusively,
+  // waits for every shard queue to drain, retrains, and advances
+  // next_trigger.
+  std::unique_ptr<ShardEngine> engine;
   RunResult result;
-  std::vector<std::unique_ptr<Shard>> shards;
-
-  // The one shared mutable serving object (seqlock; workers reload on the
-  // epoch bump a barrier publishes) plus the trainer side, which only the
-  // thread holding the dispatch lock exclusively ever touches.
-  ModelSlot model;
-  std::atomic<std::uint64_t> model_epoch{0};
-  std::unique_ptr<DailyTrainer> trainer;
-  std::unique_ptr<TrainerWatchdog> watchdog;
-  DegradationCounters trainer_degradation;
-  obs::MetricsRegistry global_registry;
-  obs::FixedHistogram* fit_seconds = nullptr;
-  obs::MetricsRegistry::Counter fits = nullptr;
-  obs::MetricsRegistry::Counter fit_skipped = nullptr;
-  obs::MetricsRegistry::Counter models_published = nullptr;
-  obs::MetricsRegistry::Counter samples_drained = nullptr;
-  obs::MetricsRegistry::Counter compiled_tree_swaps = nullptr;
-
-  // Retrain schedule, precomputed exactly as the replay does. Readers
-  // dispatch under a shared lock; a barrier takes it exclusively, waits
-  // for every shard queue to drain, retrains, and advances next_trigger.
-  std::vector<std::uint64_t> triggers;
+  std::vector<std::unique_ptr<ShardWorker>> workers;
   std::atomic<std::size_t> next_trigger{0};
   std::shared_mutex dispatch_mutex;
 
@@ -252,147 +219,42 @@ struct Daemon::Impl {
   void maybe_barrier(std::uint64_t index);
   void quiesce_locked();
   void flush_barriers_locked();
-  void run_barrier(std::uint64_t trigger);
-  void worker_loop(Shard& shard);
-  void process_batch(Shard& shard, Envelope* batch, std::size_t count);
-  void serve_simple(Shard& shard, Envelope& envelope);
-  void serve_put(Shard& shard, Envelope& envelope);
-  bool insert_with_ssd_retry(Shard& shard, const Request& request,
-                             const PhotoMeta& photo);
+  void barrier_locked(std::uint64_t trigger);
+  void worker_loop(std::size_t s);
   void send_frame(Connection& conn, const std::uint8_t* data,
                   std::size_t size);
   void send_result(Envelope& envelope, ResultStatus status, bool degraded);
   void send_error(Connection& conn, const std::string& text);
   SummaryPayload build_summary_locked();
-  void assemble_result_locked();
-  void populate_registries();
+  void finish_locked();
   void populate_wire_metrics();
-  obs::MetricsSnapshot merged_snapshot_now();
-  [[nodiscard]] double mean_latency_for(double hit_rate) const;
   void stop();
 };
 
 void Daemon::Impl::start() {
-  const RunConfig& run = config.run;
-  if (run.capacity_bytes == 0) {
-    throw std::invalid_argument("Daemon: zero capacity");
-  }
-  const std::size_t shard_count = run.shards;
-  if (shard_count == 0) {
-    throw std::invalid_argument("Daemon: zero shards");
-  }
-  const std::uint64_t shard_capacity = run.capacity_bytes / shard_count;
-  if (shard_capacity == 0) {
-    throw std::invalid_argument(
-        "Daemon: capacity splits to zero bytes per shard");
-  }
-
-  // Preamble mirror of ShardedCache::run: criteria/cost are global
-  // properties of (trace, capacity), shared by every shard.
-  is_proposal = run.mode == AdmissionMode::proposal;
-  const bool needs_criteria =
-      is_proposal || run.mode == AdmissionMode::ideal;
-  if (needs_criteria) {
-    const double h = run.hit_rate_estimate
-                         ? *run.hit_rate_estimate
-                         : system->estimate_hit_rate(run.capacity_bytes);
-    result.criteria = compute_criteria(*trace, *oracle, run.capacity_bytes, h,
-                                       run.ota.criteria_iterations);
-    if (run.policy == PolicyKind::lirs) {
-      result.criteria.m =
-          lirs_criteria(result.criteria.m, run.lirs_lir_fraction);
-    }
-    result.cost_v = system->cost_v_for(run.capacity_bytes, run.ota);
-  }
-  classified_path = needs_criteria;
-  latency = LatencyModel{run.latency};
+  // Validates the RunConfig and builds every shard; throws before any
+  // socket or thread exists.
+  // otac-lint: allow(hotpath-alloc) one-time construction, not per-request
+  engine = std::make_unique<ShardEngine>(*system, config.run);
+  const LatencyModel latency{config.run.latency};
+  const bool classified_path = classifies(config.run.mode);
   hit_latency_us = latency.request_latency_us(true, classified_path);
   miss_latency_us = latency.request_latency_us(false, classified_path);
 
-  ServingConfig serving;
-  std::size_t history_slice = 0;
-  OtaConfig sampler_ota = run.ota;
-  if (is_proposal) {
-    serving.feature_subset = run.ota.feature_subset;
-    serving.m = result.criteria.m;
-    serving.admit_before_first_model = run.ota.admit_before_first_model;
-    const std::size_t history_total = history_table_capacity(
-        result.criteria.m, result.criteria.h, result.criteria.p,
-        run.ota.history_table_factor);
-    history_slice = history_total / shard_count;
-    if (history_slice == 0 && history_total > 0) history_slice = 1;
-    const int rate = run.ota.sample_records_per_minute;
-    sampler_ota.sample_records_per_minute =
-        rate == 0 ? 0 : std::max(1, rate / static_cast<int>(shard_count));
-    model_arity = run.ota.feature_subset.empty()
-                      ? FeatureExtractor::kFeatureCount
-                      : run.ota.feature_subset.size();
-  }
-
-  gather_max = std::clamp<std::size_t>(config.gather_max, 1,
-                                       ServingCore::kAdmissionBatchCapacity);
   const std::size_t queue_capacity =
       std::max<std::size_t>(1, config.queue_capacity);
-
-  for (std::size_t s = 0; s < shard_count; ++s) {
+  for (std::size_t s = 0; s < config.run.shards; ++s) {
     // Cold: per-shard construction, once per daemon.
     // otac-lint: allow(hotpath-alloc)
-    shards.push_back(std::make_unique<Shard>(queue_capacity));
-    Shard& shard = *shards.back();
-    shard.policy =
-        make_policy(run.policy, shard_capacity, run.lirs_lir_fraction);
-    // otac-lint: allow(hotpath-alloc)
-    shard.registry = std::make_unique<obs::MetricsRegistry>();
-    shard.recorder = obs::LatencyRecorder{
-        shard.registry->histogram(kLatencyHistogramName,
-                                  LatencyModel::histogram_bounds_us()),
-        hit_latency_us, miss_latency_us};
-    shard.gather_sizes = shard.registry->histogram(
+    workers.push_back(std::make_unique<ShardWorker>(queue_capacity));
+    workers.back()->gather_sizes = engine->shard_registry(s).histogram(
         "daemon.batch_gather_size", admission_batch_histogram_bounds());
-    if (is_proposal) {
-      // otac-lint: allow(hotpath-alloc)
-      shard.core = std::make_unique<ServingCore>(trace->catalog, *oracle,
-                                                 serving, history_slice);
-      shard.core->bind_metrics(*shard.registry);
-      // otac-lint: allow(hotpath-alloc)
-      shard.sampler = std::make_unique<DailyTrainer>(
-          *oracle, sampler_ota, result.criteria.m, result.cost_v);
-      shard.batch_sizes = shard.registry->histogram(
-          kAdmissionBatchHistogramName, admission_batch_histogram_bounds());
-      if (run.resilience.overload.enabled) {
-        // otac-lint: allow(hotpath-alloc)
-        shard.fluid = std::make_unique<ShardQueue>(run.resilience.overload);
-      }
-    }
   }
-  for (const auto& shard : shards) {
-    CacheStats* stats = &shard->stats;  // shards never reallocates now
-    shard->policy->set_eviction_callback(
-        [stats](PhotoId key, std::uint32_t size) {
-          stats->note_eviction(key, size);
-        });
-  }
-
-  // otac-lint: allow(hotpath-alloc)
-  trainer = std::make_unique<DailyTrainer>(*oracle, run.ota,
-                                           result.criteria.m, result.cost_v);
-  // otac-lint: allow(hotpath-alloc)
-  watchdog = std::make_unique<TrainerWatchdog>(*trainer,
-                                               run.resilience.watchdog);
-  fit_seconds = global_registry.histogram(kFitHistogramName,
-                                          duration_histogram_bounds_s());
-  fits = global_registry.counter("trainer.fits");
-  fit_skipped = global_registry.counter("trainer.fit_skipped");
-  models_published = global_registry.counter("trainer.models_published");
-  samples_drained = global_registry.counter("trainer.samples_drained");
-  compiled_tree_swaps = global_registry.counter("trainer.compiled_tree_swaps");
-  if (is_proposal) triggers = retrain_trigger_indices(*trace, run.ota);
 
   listener = tcp_listen(config.host, config.port);
   bound_port = local_port(listener.get());
-  for (const auto& shard : shards) {
-    Shard* raw = shard.get();
-    shard->worker = std::thread([this, raw] { worker_loop(*raw); });
+  for (std::size_t s = 0; s < workers.size(); ++s) {
+    workers[s]->thread = std::thread([this, s] { worker_loop(s); });
   }
   acceptor = std::thread([this] { accept_loop(); });
   started = true;
@@ -499,7 +361,7 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
       envelope.conn = conn;
       envelope.sequence = header.sequence;
       envelope.index = get.index;
-      envelope.request = request;
+      envelope.photo = request.photo;
       enqueue(std::move(envelope));
       return true;
     }
@@ -516,16 +378,14 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
       Envelope envelope;
       envelope.conn = conn;
       envelope.sequence = header.sequence;
-      envelope.request.time = SimTime{put.time_seconds};
-      envelope.request.photo = put.photo;
+      envelope.photo = put.photo;
       envelope.is_put = true;
       enqueue(std::move(envelope));
       return true;
     }
     case FrameType::stats_request: {
       // End-of-stream snapshot: quiesce every shard, fire all remaining
-      // scheduled retrain barriers, and summarize — the binary twin of
-      // the replay's end-of-run totals.
+      // scheduled retrain barriers, and summarize the engine's totals.
       SummaryPayload summary;
       {
         const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
@@ -544,7 +404,7 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
         const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
         quiesce_locked();
         flush_barriers_locked();
-        assemble_result_locked();
+        finish_locked();
         json = result.obs.to_json();
       }
       const std::vector<std::uint8_t> frame = encode_frame(
@@ -577,13 +437,13 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
 }
 
 void Daemon::Impl::enqueue(Envelope&& envelope) {
-  const std::size_t s = shard_of_photo(envelope.request.photo, shards.size());
+  const std::size_t s = shard_of_photo(envelope.photo, workers.size());
   // Shared dispatch lock: many readers enqueue concurrently; a retrain
   // barrier (or a stats/report snapshot) excludes them all.
   const std::shared_lock<std::shared_mutex> lock(dispatch_mutex);
-  Shard& shard = *shards[s];
+  InboundQueue& inbound = workers[s]->inbound;
   if (config.retry_when_full) {
-    if (!shard.inbound.try_push(std::move(envelope))) {
+    if (!inbound.try_push(std::move(envelope))) {
       retry_replies.fetch_add(1, std::memory_order_relaxed);
       send_result(envelope, ResultStatus::retry, false);
     }
@@ -592,14 +452,15 @@ void Daemon::Impl::enqueue(Envelope&& envelope) {
   // Blocking dispatch: queue-full pressure propagates to the client as
   // TCP backpressure. A false return means the daemon is stopping; the
   // request is dropped with the connection.
-  (void)shard.inbound.push(std::move(envelope));
+  (void)inbound.push(std::move(envelope));
 }
 
 void Daemon::Impl::maybe_barrier(std::uint64_t index) {
+  const std::vector<std::uint64_t>& triggers = engine->triggers();
   if (triggers.empty()) return;
-  // Epoch rule, mirroring the replay (epoch_end = trigger + 1): the
-  // barrier for trigger t fires before any request with index > t is
-  // dispatched. The fast path is one relaxed-ish atomic read.
+  // Epoch rule, as in the replay (epoch_end = trigger + 1): the barrier
+  // for trigger t fires before any request with index > t is dispatched.
+  // The fast path is one relaxed-ish atomic read.
   std::size_t pending = next_trigger.load(std::memory_order_acquire);
   while (pending < triggers.size() && triggers[pending] < index) {
     {
@@ -607,7 +468,7 @@ void Daemon::Impl::maybe_barrier(std::uint64_t index) {
       pending = next_trigger.load(std::memory_order_relaxed);
       if (pending < triggers.size() && triggers[pending] < index) {
         quiesce_locked();
-        run_barrier(triggers[pending]);
+        barrier_locked(triggers[pending]);
         next_trigger.store(pending + 1, std::memory_order_release);
       }
     }
@@ -618,348 +479,67 @@ void Daemon::Impl::maybe_barrier(std::uint64_t index) {
 void Daemon::Impl::quiesce_locked() {
   // Dispatch is excluded (unique lock held), so each queue drains
   // monotonically; after this loop every shard worker is parked.
-  for (const auto& shard : shards) shard->inbound.wait_idle();
+  for (const auto& worker : workers) worker->inbound.wait_idle();
 }
 
 void Daemon::Impl::flush_barriers_locked() {
+  const std::vector<std::uint64_t>& triggers = engine->triggers();
   std::size_t pending = next_trigger.load(std::memory_order_relaxed);
   while (pending < triggers.size()) {
-    run_barrier(triggers[pending]);
+    barrier_locked(triggers[pending]);
     ++pending;
     next_trigger.store(pending, std::memory_order_release);
   }
 }
 
-void Daemon::Impl::run_barrier(std::uint64_t trigger) {
-  // Cold: the retrain barrier, a mirror of the replay's barrier block
-  // (core/sharded_cache.cpp) — drain shard sample buffers in shard order,
-  // merge in trace order, supervise the fit, publish on success.
-  std::vector<TrainingSample> drained;
-  for (const auto& shard : shards) {
-    const std::deque<TrainingSample>& buffer = shard->sampler->samples();
-    drained.insert(drained.end(), buffer.begin(), buffer.end());
-    shard->sampler->restore({}, shard->sampler->current_minute(),
-                            shard->sampler->minute_count());
-  }
-  std::sort(drained.begin(), drained.end(),
-            [](const TrainingSample& a, const TrainingSample& b) {
-              return a.index < b.index;
-            });
-  *samples_drained += drained.size();
-  const auto fit_started = std::chrono::steady_clock::now();
-  const RetrainOutcome outcome = watchdog->retrain(
-      std::move(drained), trigger, trace->requests[trigger].time);
-  trainer_degradation.retrain_retries +=
-      static_cast<std::uint64_t>(outcome.retries);
-  switch (outcome.status) {
-    case RetrainOutcome::Status::trained:
-      ++*fits;
-      if (validate_serving_model(*outcome.tree, model_arity)) {
-        const ml::CompiledTree compiled =
-            ml::CompiledTree::compile(*outcome.tree);
-        if (ModelSlot::fits(compiled)) {
-          model.store(compiled);
-          ++result.trainings;
-          ++*models_published;
-          ++*compiled_tree_swaps;
-          // Workers reload their snapshot at the next gather; they are
-          // all parked right now, so the new generation is exactly the
-          // replay's "serves requests from the next epoch on".
-          model_epoch.fetch_add(1, std::memory_order_release);
-        } else {
-          ++trainer_degradation.rejected_models;
-        }
-      } else {
-        ++trainer_degradation.rejected_models;
-      }
-      break;
-    case RetrainOutcome::Status::skipped:
-      ++*fit_skipped;
-      break;
-    case RetrainOutcome::Status::failed:
-      ++trainer_degradation.retrain_failures;
-      break;
-    case RetrainOutcome::Status::timed_out:
-    case RetrainOutcome::Status::busy:
-      ++trainer_degradation.retrain_timeouts;
-      break;
-  }
-  fit_seconds->add(std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - fit_started)
-                       .count());
-  populate_registries();
-  populate_degradation_metrics(global_registry, trainer_degradation);
-  global_registry.set("trainer.trainings",
-                      static_cast<std::uint64_t>(result.trainings));
+void Daemon::Impl::barrier_locked(std::uint64_t trigger) {
+  // Every worker is parked, so the new generation serves exactly the
+  // replay's "requests from the next epoch on".
   populate_wire_metrics();
-  // otac-lint: allow(hotpath-alloc)
-  result.obs.timeline.push_back(
-      obs::BarrierSample{trigger, trace->requests[trigger].time.seconds,
-                         merged_snapshot_now()});
+  engine->barrier(trigger);
 }
 
-void Daemon::Impl::worker_loop(Shard& shard) {
+void Daemon::Impl::worker_loop(std::size_t s) {
   // One gather's envelopes live on the worker stack; pop_batch hands out
-  // at most gather_max (<= kAdmissionBatchCapacity) per call, and returns
-  // 0 only once the daemon is stopping and the queue has drained.
-  std::array<Envelope, ServingCore::kAdmissionBatchCapacity> batch;
+  // at most one admission batch per call, and returns 0 only once the
+  // daemon is stopping and the queue has drained.
+  ShardWorker& worker = *workers[s];
+  constexpr std::size_t kBatch = ServingCore::kAdmissionBatchCapacity;
+  std::array<Envelope, kBatch> batch;
+  std::array<std::uint64_t, kBatch> indices{};
+  std::array<ShardEngine::RowOutcome, kBatch> outcomes{};
   while (const std::size_t gathered =
-             shard.inbound.pop_batch(batch.data(), gather_max)) {
-    process_batch(shard, batch.data(), gathered);
+             worker.inbound.pop_batch(batch.data(), batch.size())) {
+    worker.gather_sizes->add(static_cast<double>(gathered));
+    // Arrival order is serving order: each run of consecutive GETs is one
+    // engine batch, and a PUT between runs is one upsert.
+    std::size_t begin = 0;
+    while (begin < gathered) {
+      if (batch[begin].is_put) {
+        engine->upsert(s, batch[begin].photo);
+        send_result(batch[begin], ResultStatus::put_ok, false);
+        ++begin;
+        continue;
+      }
+      std::size_t end = begin;
+      for (; end < gathered && !batch[end].is_put; ++end) {
+        indices[end - begin] = batch[end].index;
+      }
+      engine->serve_batch(s, indices.data(), end - begin, outcomes.data());
+      for (std::size_t b = begin; b < end; ++b) {
+        const ShardEngine::RowOutcome& row = outcomes[b - begin];
+        if (row.outcome == ShardEngine::Outcome::shed) {
+          shed_replies.fetch_add(1, std::memory_order_relaxed);
+        }
+        send_result(batch[b], status_of(row.outcome), row.degraded);
+      }
+      begin = end;
+    }
     // Drop connection references before parking so clients that left
     // don't linger until the next gather overwrites the slots.
     for (std::size_t b = 0; b < gathered; ++b) batch[b] = Envelope{};
-    shard.inbound.mark_idle();
+    worker.inbound.mark_idle();
   }
-}
-
-void Daemon::Impl::process_batch(Shard& shard, Envelope* batch,
-                                 std::size_t count) {
-  shard.gather_sizes->add(static_cast<double>(count));
-  if (!is_proposal) {
-    for (std::size_t b = 0; b < count; ++b) {
-      if (batch[b].is_put) {
-        serve_put(shard, batch[b]);
-      } else {
-        serve_simple(shard, batch[b]);
-      }
-    }
-    return;
-  }
-
-  // Refresh the model snapshot when a barrier published a new generation
-  // (the epoch counter only moves while this worker is parked, so one
-  // seqlock load per generation, exactly like the replay's per-epoch
-  // load).
-  const std::uint64_t epoch = model_epoch.load(std::memory_order_acquire);
-  if (epoch != shard.model_epoch) {
-    shard.tree = model.load(shard.compiled) ? &shard.compiled : nullptr;
-    shard.model_epoch = epoch;
-  }
-
-  const OverloadConfig& overload = config.run.resilience.overload;
-  enum class Action : std::uint8_t { normal, degraded, shed, put };
-  std::array<Action, ServingCore::kAdmissionBatchCapacity> action{};
-  std::array<std::uint8_t, ServingCore::kAdmissionBatchCapacity> slot{};
-  std::array<const PhotoMeta*, ServingCore::kAdmissionBatchCapacity> photos{};
-
-  // Pass 1 — arrival order: overload gating through the fluid queue, then
-  // the model-independent half (feature staging + training-sample offer)
-  // for every Normal GET. Staging ahead of the sequential replay below is
-  // the same reordering the replay's own batched loop performs — the
-  // extractor never reads cache or history state.
-  shard.core->begin_batch();
-  std::size_t staged = 0;
-  for (std::size_t b = 0; b < count; ++b) {
-    const Envelope& envelope = batch[b];
-    if (envelope.is_put) {
-      action[b] = Action::put;
-      continue;
-    }
-    const Request& request = trace->requests[envelope.index];
-    const PhotoMeta& photo = trace->catalog.photo(request.photo);
-    photos[b] = &photo;
-    if (shard.fluid != nullptr) {
-      if (OTAC_FAILPOINT_ACTIVE("chaos.flash_crowd")) {
-        shard.fluid->inject(overload.flash_crowd_burst);
-      }
-      const OverloadState pressure = shard.fluid->on_request(
-          static_cast<double>(request.time.seconds));
-      shard.stats.requests += 1;
-      shard.stats.request_bytes += photo.size_bytes;
-      if (pressure == OverloadState::shedding) {
-        shard.stats.rejected += 1;
-        shard.stats.rejected_bytes += photo.size_bytes;
-        shard.recorder.record(false);
-        action[b] = Action::shed;
-        continue;
-      }
-      if (pressure == OverloadState::degraded) {
-        action[b] = Action::degraded;
-        continue;
-      }
-    } else {
-      shard.core->prefetch(request, photo);
-      shard.stats.requests += 1;
-      shard.stats.request_bytes += photo.size_bytes;
-    }
-    action[b] = Action::normal;
-    slot[b] = static_cast<std::uint8_t>(staged);
-    ++staged;
-    shard.sampler->offer(envelope.index, request,
-                         shard.core->stage(request, photo));
-  }
-  if (staged > 0) {
-    // One branch-free batched tree walk for every staged row. The
-    // admission-batch histogram records staged rows per gather here
-    // (the replay's overload loop records batches of one) — histograms
-    // are obs-only and outside RunResult equality.
-    shard.core->classify_staged(shard.tree);
-    shard.batch_sizes->add(static_cast<double>(staged));
-  }
-
-  // Pass 2 — the strictly sequential cache replay in arrival order,
-  // consuming the precomputed verdicts on Normal misses.
-  for (std::size_t b = 0; b < count; ++b) {
-    Envelope& envelope = batch[b];
-    switch (action[b]) {
-      case Action::put:
-        serve_put(shard, envelope);
-        break;
-      case Action::shed:
-        shed_replies.fetch_add(1, std::memory_order_relaxed);
-        send_result(envelope, ResultStatus::shed, false);
-        break;
-      case Action::degraded: {
-        // The paper's Original policy as pressure relief: no extraction,
-        // no sampling, no classification; admit every miss cheap.
-        const Request& request = trace->requests[envelope.index];
-        const PhotoMeta& photo = *photos[b];
-        shard.policy->set_next_access_hint(oracle->next[envelope.index]);
-        const bool hit =
-            shard.policy->access(request.photo, photo.size_bytes);
-        shard.recorder.record(hit);
-        if (hit) {
-          shard.stats.hits += 1;
-          shard.stats.hit_bytes += photo.size_bytes;
-          send_result(envelope, ResultStatus::hit, true);
-          break;
-        }
-        ++shard.core->degradation.degraded_admits;
-        const bool stored = insert_with_ssd_retry(shard, request, photo);
-        send_result(envelope,
-                    stored ? ResultStatus::miss_admitted
-                           : ResultStatus::miss_rejected,
-                    true);
-        break;
-      }
-      case Action::normal: {
-        const Request& request = trace->requests[envelope.index];
-        const PhotoMeta& photo = *photos[b];
-        shard.policy->set_next_access_hint(oracle->next[envelope.index]);
-        const bool hit =
-            shard.policy->access(request.photo, photo.size_bytes);
-        shard.recorder.record(hit);
-        if (hit) {
-          shard.stats.hits += 1;
-          shard.stats.hit_bytes += photo.size_bytes;
-          send_result(envelope, ResultStatus::hit, false);
-          break;
-        }
-        if (shard.core->admit_staged(slot[b], envelope.index, request,
-                                     photo)) {
-          bool stored = true;
-          if (shard.fluid != nullptr) {
-            stored = insert_with_ssd_retry(shard, request, photo);
-          } else if (shard.policy->insert(request.photo, photo.size_bytes)) {
-            shard.stats.insertions += 1;
-            shard.stats.inserted_bytes += photo.size_bytes;
-          }
-          send_result(envelope,
-                      stored ? ResultStatus::miss_admitted
-                             : ResultStatus::miss_rejected,
-                      false);
-        } else {
-          shard.stats.rejected += 1;
-          shard.stats.rejected_bytes += photo.size_bytes;
-          send_result(envelope, ResultStatus::miss_rejected, false);
-        }
-        break;
-      }
-    }
-  }
-  if (shard.fluid != nullptr) {
-    // Gather-end snapshot of the queue's own counters (assignment —
-    // cumulative, idempotent), as the replay does at epoch ends.
-    shard.core->degradation.shed_requests = shard.fluid->shed();
-    shard.core->degradation.overload_transitions =
-        shard.fluid->transitions();
-  }
-}
-
-void Daemon::Impl::serve_simple(Shard& shard, Envelope& envelope) {
-  // Non-proposal modes, a mirror of the replay's scalar loop.
-  const Request& request = trace->requests[envelope.index];
-  const PhotoMeta& photo = trace->catalog.photo(request.photo);
-  shard.policy->set_next_access_hint(oracle->next[envelope.index]);
-  const bool hit = shard.policy->access(request.photo, photo.size_bytes);
-  shard.stats.requests += 1;
-  shard.stats.request_bytes += photo.size_bytes;
-  shard.recorder.record(hit);
-  if (hit) {
-    shard.stats.hits += 1;
-    shard.stats.hit_bytes += photo.size_bytes;
-    send_result(envelope, ResultStatus::hit, false);
-    return;
-  }
-  bool admitted = false;
-  switch (config.run.mode) {
-    case AdmissionMode::original:
-      admitted = true;
-      break;
-    case AdmissionMode::bypass:
-      admitted = false;
-      break;
-    case AdmissionMode::ideal: {
-      const std::uint64_t distance =
-          oracle->reaccess_distance(envelope.index);
-      admitted = distance != kNoNextAccess &&
-                 static_cast<double>(distance) <= result.criteria.m;
-      break;
-    }
-    case AdmissionMode::proposal:
-      break;  // unreachable: proposal takes the batched path
-  }
-  if (admitted) {
-    if (shard.policy->insert(request.photo, photo.size_bytes)) {
-      shard.stats.insertions += 1;
-      shard.stats.inserted_bytes += photo.size_bytes;
-    }
-    send_result(envelope, ResultStatus::miss_admitted, false);
-  } else {
-    shard.stats.rejected += 1;
-    shard.stats.rejected_bytes += photo.size_bytes;
-    send_result(envelope, ResultStatus::miss_rejected, false);
-  }
-}
-
-void Daemon::Impl::serve_put(Shard& shard, Envelope& envelope) {
-  // Warm-path upsert: a resident photo is touched (policies require
-  // insert() of a non-resident key only), a missing one is inserted.
-  // Replacement state moves (and evictions it causes fold into the
-  // eviction fingerprint via the callback), but request accounting stays
-  // GET-only — PUT traffic shows up in wire counters, not CacheStats, so
-  // GET-only runs keep replay equivalence.
-  const PhotoMeta& photo = trace->catalog.photo(envelope.request.photo);
-  if (!shard.policy->access(envelope.request.photo, photo.size_bytes)) {
-    (void)shard.policy->insert(envelope.request.photo, photo.size_bytes);
-  }
-  send_result(envelope, ResultStatus::put_ok, false);
-}
-
-bool Daemon::Impl::insert_with_ssd_retry(Shard& shard,
-                                         const Request& request,
-                                         const PhotoMeta& photo) {
-  // Transient SSD write faults retry in place; once the budget is spent
-  // the object is simply not cached — an admission rejection, never an
-  // error on the serving path (mirrors the replay's overload loop).
-  const int budget = config.run.resilience.ssd_write_max_retries;
-  int attempt = 0;
-  while (OTAC_FAILPOINT_ACTIVE("storage.ssd.write_error")) {
-    if (attempt >= budget) {
-      ++shard.core->degradation.ssd_write_drops;
-      shard.stats.rejected += 1;
-      shard.stats.rejected_bytes += photo.size_bytes;
-      return false;
-    }
-    ++attempt;
-    ++shard.core->degradation.ssd_write_retries;
-  }
-  if (shard.policy->insert(request.photo, photo.size_bytes)) {
-    shard.stats.insertions += 1;
-    shard.stats.inserted_bytes += photo.size_bytes;
-  }
-  return true;
 }
 
 void Daemon::Impl::send_frame(Connection& conn, const std::uint8_t* data,
@@ -998,144 +578,51 @@ void Daemon::Impl::send_error(Connection& conn, const std::string& text) {
 }
 
 SummaryPayload Daemon::Impl::build_summary_locked() {
-  CacheStats merged = shards[0]->stats;
-  for (std::size_t s = 1; s < shards.size(); ++s) {
-    merged.merge(shards[s]->stats);
-  }
-  DegradationCounters degradation = trainer_degradation;
-  if (is_proposal) {
-    for (const auto& shard : shards) {
-      degradation.merge(shard->core->degradation);
-    }
-  }
+  const RunResult totals = engine->totals();
   SummaryPayload summary;
-  summary.requests = merged.requests;
-  summary.hits = merged.hits;
-  summary.insertions = merged.insertions;
-  summary.rejected = merged.rejected;
-  summary.evictions = merged.evictions;
-  summary.shed_requests = degradation.shed_requests;
-  summary.degraded_admits = degradation.degraded_admits;
-  summary.overload_transitions = degradation.overload_transitions;
-  summary.retrain_timeouts = degradation.retrain_timeouts;
-  summary.trainings = static_cast<std::uint64_t>(result.trainings);
-  summary.eviction_hash = merged.eviction_hash;
-  summary.file_hit_rate = merged.file_hit_rate();
-  summary.byte_hit_rate = merged.byte_hit_rate();
-  summary.mean_latency_us = mean_latency_for(merged.file_hit_rate());
+  summary.requests = totals.stats.requests;
+  summary.hits = totals.stats.hits;
+  summary.insertions = totals.stats.insertions;
+  summary.rejected = totals.stats.rejected;
+  summary.evictions = totals.stats.evictions;
+  summary.shed_requests = totals.degradation.shed_requests;
+  summary.degraded_admits = totals.degradation.degraded_admits;
+  summary.overload_transitions = totals.degradation.overload_transitions;
+  summary.retrain_timeouts = totals.degradation.retrain_timeouts;
+  summary.trainings = static_cast<std::uint64_t>(totals.trainings);
+  summary.eviction_hash = totals.stats.eviction_hash;
+  summary.file_hit_rate = totals.stats.file_hit_rate();
+  summary.byte_hit_rate = totals.stats.byte_hit_rate();
+  summary.mean_latency_us = totals.mean_latency_us;
   return summary;
 }
 
-double Daemon::Impl::mean_latency_for(double hit_rate) const {
-  return config.run.mode == AdmissionMode::original ||
-                 config.run.mode == AdmissionMode::bypass
-             ? latency.mean_access_time_original_us(hit_rate)
-             : latency.mean_access_time_proposed_us(hit_rate);
-}
-
-void Daemon::Impl::populate_registries() {
-  for (const auto& shard : shards) {
-    populate_cache_metrics(*shard->registry, shard->stats);
-    if (is_proposal) {
-      populate_history_metrics(*shard->registry, shard->core->history);
-      populate_degradation_metrics(*shard->registry,
-                                   shard->core->degradation);
-    }
-  }
-}
-
 void Daemon::Impl::populate_wire_metrics() {
-  global_registry.set("daemon.connections",
-                      connections_total.load(std::memory_order_relaxed));
-  global_registry.set("daemon.frames_received",
-                      frames_received.load(std::memory_order_relaxed));
-  global_registry.set("daemon.frames_sent",
-                      frames_sent.load(std::memory_order_relaxed));
-  global_registry.set("daemon.get_requests",
-                      get_requests.load(std::memory_order_relaxed));
-  global_registry.set("daemon.protocol_errors",
-                      protocol_errors.load(std::memory_order_relaxed));
-  global_registry.set("daemon.put_requests",
-                      put_requests.load(std::memory_order_relaxed));
-  global_registry.set("daemon.retry_replies",
-                      retry_replies.load(std::memory_order_relaxed));
-  global_registry.set("daemon.shed_replies",
-                      shed_replies.load(std::memory_order_relaxed));
+  obs::MetricsRegistry& registry = engine->global_registry();
+  registry.set("daemon.connections",
+               connections_total.load(std::memory_order_relaxed));
+  registry.set("daemon.frames_received",
+               frames_received.load(std::memory_order_relaxed));
+  registry.set("daemon.frames_sent",
+               frames_sent.load(std::memory_order_relaxed));
+  registry.set("daemon.get_requests",
+               get_requests.load(std::memory_order_relaxed));
+  registry.set("daemon.protocol_errors",
+               protocol_errors.load(std::memory_order_relaxed));
+  registry.set("daemon.put_requests",
+               put_requests.load(std::memory_order_relaxed));
+  registry.set("daemon.retry_replies",
+               retry_replies.load(std::memory_order_relaxed));
+  registry.set("daemon.shed_replies",
+               shed_replies.load(std::memory_order_relaxed));
 }
 
-obs::MetricsSnapshot Daemon::Impl::merged_snapshot_now() {
-  obs::MetricsSnapshot merged = global_registry.snapshot();
-  for (const auto& shard : shards) {
-    merged.merge(shard->registry->snapshot());
-  }
-  return merged;
-}
-
-void Daemon::Impl::assemble_result_locked() {
-  // Mirror of the replay's end-of-run assembly; every step is an
-  // assignment over cumulative state, so re-running it (report frame,
-  // then stop) is idempotent.
-  result.stats = shards[0]->stats;
-  for (std::size_t s = 1; s < shards.size(); ++s) {
-    result.stats.merge(shards[s]->stats);
-  }
-  if (is_proposal) {
-    result.degradation = trainer_degradation;
-    result.history_capacity = 0;
-    result.daily.clear();
-    std::map<std::int64_t, DayClassifierMetrics> daily;
-    for (const auto& shard : shards) {
-      result.history_capacity += shard->core->history.capacity();
-      result.degradation.merge(shard->core->degradation);
-      for (const DayClassifierMetrics& metrics : shard->core->daily) {
-        auto [it, inserted] = daily.try_emplace(metrics.day, metrics);
-        if (!inserted) {
-          it->second.raw.merge(metrics.raw);
-          it->second.corrected.merge(metrics.corrected);
-        }
-      }
-    }
-    // Cold: report assembly at stats/report/stop time.
-    // otac-lint: allow(hotpath-alloc)
-    result.daily.reserve(daily.size());
-    for (const auto& [day, metrics] : daily) {
-      // otac-lint: allow(hotpath-alloc)
-      result.daily.push_back(metrics);
-    }
-  }
-  const double hit_rate = result.stats.file_hit_rate();
-  result.mean_latency_us = mean_latency_for(hit_rate);
-  populate_registries();
-  if (is_proposal) {
-    populate_degradation_metrics(global_registry, trainer_degradation);
-    global_registry.set("trainer.trainings",
-                        static_cast<std::uint64_t>(result.trainings));
-  }
+void Daemon::Impl::finish_locked() {
+  // Every step is an assignment over cumulative state, so re-running it
+  // (report frame, then stop) is idempotent.
   populate_wire_metrics();
+  result = engine->finish(workers.size());  // one worker per shard
   result.obs.source = "otacd";
-  result.obs.mode = admission_mode_name(config.run.mode);
-  result.obs.policy = policy_name(config.run.policy);
-  result.obs.shards = shards.size();
-  result.obs.threads = shards.size();  // one worker per shard
-  result.obs.per_shard.clear();
-  // otac-lint: allow(hotpath-alloc)
-  result.obs.per_shard.reserve(shards.size());
-  for (const auto& shard : shards) {
-    // otac-lint: allow(hotpath-alloc)
-    result.obs.per_shard.push_back(shard->registry->snapshot());
-  }
-  result.obs.merged = merged_snapshot_now();
-  if (!trace->requests.empty()) {
-    const std::uint64_t last = trace->requests.size() - 1;
-    if (result.obs.timeline.empty() ||
-        result.obs.timeline.back().request_index != last) {
-      // otac-lint: allow(hotpath-alloc)
-      result.obs.timeline.push_back(obs::BarrierSample{
-          last, trace->requests.back().time.seconds, result.obs.merged});
-    }
-  }
-  result.obs.derived =
-      derived_run_metrics(result.stats, result.mean_latency_us);
 }
 
 void Daemon::Impl::stop() {
@@ -1161,17 +648,17 @@ void Daemon::Impl::stop() {
     }
     // Wake any reader blocked on a full queue (its push returns false),
     // then let the workers drain everything already dispatched.
-    for (const auto& shard : shards) shard->inbound.stop();
+    for (const auto& worker : workers) worker->inbound.stop();
     for (auto& thread : connection_threads) {
       if (thread.joinable()) thread.join();
     }
-    for (const auto& shard : shards) {
-      if (shard->worker.joinable()) shard->worker.join();
+    for (const auto& worker : workers) {
+      if (worker->thread.joinable()) worker->thread.join();
     }
     {
       const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
       flush_barriers_locked();
-      assemble_result_locked();
+      finish_locked();
     }
     finalized.store(true, std::memory_order_release);
   });

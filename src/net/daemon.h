@@ -1,15 +1,16 @@
-// otacd — the network serving daemon: the sharded serving stack
-// (core/sharded_cache.h) behind the length-prefixed wire protocol
+// otacd — the network serving daemon: a transport around the serving
+// engine (core/shard_engine.h) behind the length-prefixed wire protocol
 // (net/protocol.h) on a TCP loopback socket.
 //
 // The daemon is a *networked replay*: server and client independently
 // generate the same seeded trace, so GET frames address requests by trace
 // index and the server retains everything the in-process replay has — the
 // photo catalog, the next-access oracle for training labels, the criteria
-// M, and the precomputed retrain-trigger schedule. That is what lets a
-// loopback run reproduce the replay's RunResult bit-for-bit (the e2e
-// determinism test pins it), while the transport underneath is real
-// sockets, real threads, and real backpressure.
+// M, and the precomputed retrain-trigger schedule. Serving, retraining and
+// reporting are the very ShardEngine calls ShardedCache::run makes, which
+// is what lets a loopback run reproduce the replay's RunResult
+// bit-for-bit (the e2e determinism test pins it), while the transport
+// underneath is real sockets, real threads, and real backpressure.
 //
 // Threading model (DESIGN.md §15):
 //   acceptor thread        poll+accept loop, bounded by the stop flag
@@ -17,16 +18,20 @@
 //                          run retrain barriers at trigger crossings, and
 //                          dispatch into the owning shard's bounded queue
 //   shard workers          one per shard; each gathers <=64 queued
-//                          requests and runs them through the staged-batch
-//                          admission path (ServingCore), gated per request
-//                          by the fluid ShardQueue overload ladder
+//                          requests and hands each run of GETs to
+//                          ShardEngine::serve_batch (PUTs to
+//                          ShardEngine::upsert), then maps the per-row
+//                          outcomes to RESULT frames
 //
-// Backpressure maps to the protocol at two layers: the *fluid* ShardQueue
-// (deterministic, sim-time driven) turns Shedding into SHED replies and
-// Degraded into cheap Original-path admission flagged in the RESULT
-// frame; the *physical* inbound queue either blocks the connection reader
-// when full (default — TCP backpressure, keeps single-connection runs
-// deterministic) or, with retry_when_full, answers RETRY immediately.
+// Backpressure maps to the protocol at two layers: the engine's *fluid*
+// ShardQueue (deterministic, sim-time driven) turns Shedding into SHED
+// replies and Degraded into cheap Original-path admission flagged in the
+// RESULT frame; the *physical* inbound queue either blocks the connection
+// reader when full (default — TCP backpressure, keeps single-connection
+// runs deterministic) or, with retry_when_full, answers RETRY immediately.
+// A MISS_ADMITTED reply means the object was written to the cache; an
+// admitted miss the policy refused (object larger than the shard) or
+// whose SSD write was dropped answers MISS_REJECTED.
 //
 // Determinism contract: with one client connection sending GET frames in
 // trace-index order, the default blocking dispatch, and an inline
@@ -55,9 +60,6 @@ struct DaemonConfig {
   /// Queue-full policy: false blocks the connection reader (deterministic
   /// TCP backpressure), true replies RETRY without serving.
   bool retry_when_full = false;
-  /// Requests gathered per staged admission batch (clamped to
-  /// ServingCore::kAdmissionBatchCapacity).
-  std::size_t gather_max = 64;
 };
 
 /// Transport-layer counters (exported as daemon.* metrics in the report;

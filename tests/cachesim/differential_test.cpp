@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <ostream>
 #include <vector>
 
 #include "cachesim/fifo.h"
@@ -90,6 +91,10 @@ struct DifferentialCase {
   ReferenceCache::Kind kind;
   bool unit_sizes;
 };
+
+// Prints a case as its label. gtest's default byte dump would put the label
+// pointer's address, which changes from run to run, into every ctest name.
+void PrintTo(const DifferentialCase& c, std::ostream* os) { *os << c.label; }
 
 class Differential : public ::testing::TestWithParam<DifferentialCase> {};
 

@@ -103,7 +103,7 @@ TEST_F(ShardedStressFixture, EightThreadsHammerAdmissionDuringModelSwaps) {
   std::atomic<std::uint64_t> admitted{0};
   ThreadPool pool{kWorkers};
   pool.parallel_for(kWorkers, [&](std::size_t shard) {
-    // Per-shard private state, exactly like ShardedCache's ShardState.
+    // Per-shard private state, like one ShardEngine shard.
     ServingConfig serving;
     ServingCore core{trace_->catalog, *oracle_, serving, 512};
     const std::uint64_t total = trace_->requests.size();

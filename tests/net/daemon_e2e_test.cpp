@@ -89,14 +89,36 @@ TEST(DaemonE2e, SameSeedSameScheduleTwiceIsIdentical) {
 }
 
 TEST(DaemonE2e, MatchesInProcessReplayIncludingEvictionHash) {
-  const RunConfig config = serving_config(/*overload=*/false);
-  const RunResult over_the_wire = serve_once(config);
-  const RunResult in_process = ShardedCache{test_system()}.run(config);
-  EXPECT_TRUE(over_the_wire == in_process);
-  EXPECT_EQ(over_the_wire.stats.eviction_hash,
-            in_process.stats.eviction_hash);
-  EXPECT_EQ(over_the_wire.stats.hits, in_process.stats.hits);
-  EXPECT_EQ(over_the_wire.trainings, in_process.trainings);
+  for (const AdmissionMode mode :
+       {AdmissionMode::proposal, AdmissionMode::original,
+        AdmissionMode::bypass, AdmissionMode::ideal}) {
+    SCOPED_TRACE(admission_mode_name(mode));
+    RunConfig config = serving_config(/*overload=*/false);
+    config.mode = mode;
+    const RunResult over_the_wire = serve_once(config);
+    const RunResult in_process = ShardedCache{test_system()}.run(config);
+    EXPECT_TRUE(over_the_wire == in_process);
+    EXPECT_EQ(over_the_wire.stats.eviction_hash,
+              in_process.stats.eviction_hash);
+    EXPECT_EQ(over_the_wire.stats.hits, in_process.stats.hits);
+    EXPECT_EQ(over_the_wire.trainings, in_process.trainings);
+  }
+}
+
+TEST(DaemonE2e, MissAdmittedRepliesOnlyForStoredObjects) {
+  // 512 KiB over 4 shards: photos larger than a shard's 128 KiB are
+  // admitted, then refused by the policy's insert — such a miss must
+  // answer MISS_REJECTED, not MISS_ADMITTED.
+  RunConfig config = serving_config(/*overload=*/false);
+  config.capacity_bytes = 512 * 1024;
+  LoadgenResult client;
+  const RunResult server = serve_once(config, &client);
+  const CacheStats& stats = server.stats;
+  ASSERT_GT(stats.requests - stats.hits - stats.insertions - stats.rejected,
+            0u)
+      << "no admitted miss was refused; the test would pass vacuously";
+  EXPECT_EQ(client.admitted, stats.insertions);
+  EXPECT_EQ(client.rejected, stats.requests - stats.hits - stats.insertions);
 }
 
 TEST(DaemonE2e, OverloadLadderMatchesInProcessShardQueueReplay) {

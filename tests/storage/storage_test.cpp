@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "storage/device_model.h"
 #include "storage/latency_model.h"
 #include "storage/wear_model.h"
 
@@ -41,23 +40,6 @@ TEST(LatencyModel, ProposedAtSameHitRateIsBarelySlower) {
   const double delta = model.mean_access_time_proposed_us(h) -
                        model.mean_access_time_original_us(h);
   EXPECT_NEAR(delta, 0.2, 1e-9);  // (1-h) * t_classify
-}
-
-TEST(DeviceModel, LatencyScalesWithSize) {
-  const DeviceModel ssd = typical_ssd();
-  EXPECT_LT(ssd.read_latency_us(4 * 1024), ssd.read_latency_us(1024 * 1024));
-  // 32 KB read on the typical SSD lands near the paper-era ~100-200 us.
-  const double t32k = ssd.read_latency_us(32 * 1024);
-  EXPECT_GT(t32k, 50.0);
-  EXPECT_LT(t32k, 400.0);
-}
-
-TEST(DeviceModel, HddSlowerThanSsd) {
-  const DeviceModel ssd = typical_ssd();
-  const DeviceModel hdd = typical_hdd();
-  EXPECT_GT(hdd.read_latency_us(32 * 1024), 5.0 * ssd.read_latency_us(32 * 1024));
-  // ~3 ms, matching the paper's t_hddr.
-  EXPECT_NEAR(hdd.read_latency_us(32 * 1024), 3000.0, 300.0);
 }
 
 TEST(WearModel, EnduranceAndLifetime) {

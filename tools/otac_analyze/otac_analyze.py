@@ -118,6 +118,7 @@ SCAN_DIRS = ("src", "bench", "examples", "tools", "tests")
 
 HOTPATH_TUS = (
     "src/core/serving_core.cpp",
+    "src/core/shard_engine.cpp",
     "src/core/sharded_cache.cpp",
     "src/core/history_table.cpp",
     "src/ml/compiled_tree.cpp",

@@ -93,6 +93,7 @@ SERIALIZATION_BOUNDARY_FILES = {
 # them (setup, retrain barriers, report assembly) carry allow() pragmas.
 HOTPATH_FILES = {
     "src/core/serving_core.cpp",
+    "src/core/shard_engine.cpp",
     "src/core/sharded_cache.cpp",
     "src/ml/compiled_tree.cpp",
     "src/net/daemon.cpp",
@@ -107,6 +108,7 @@ HOTPATH_FILES = {
 RETRY_PATH_FILES = {
     "src/core/checkpoint.cpp",
     "src/core/model_slot.h",
+    "src/core/shard_engine.cpp",
     "src/core/shard_queue.cpp",
     "src/core/sharded_cache.cpp",
     "src/core/trainer_watchdog.cpp",

@@ -59,7 +59,6 @@ int run(const FlagParser& flags) {
            "  --queue-capacity N   inbound frames buffered per shard (1024)\n"
            "  --retry-when-full    reply RETRY instead of blocking the\n"
            "                       connection reader on a full shard queue\n"
-           "  --gather-max N       requests per staged batch, <=64 (64)\n"
            "  --metrics-out FILE   write the final RunReport JSON (+ .prom)\n"
            "                       after shutdown\n";
     return 0;
@@ -103,8 +102,6 @@ int run(const FlagParser& flags) {
   config.queue_capacity = static_cast<std::size_t>(
       flags.get("queue-capacity", std::int64_t{1024}));
   config.retry_when_full = flags.get("retry-when-full", false);
-  config.gather_max =
-      static_cast<std::size_t>(flags.get("gather-max", std::int64_t{64}));
 
   net::Daemon daemon{system, config};
   daemon.start();
