@@ -51,11 +51,3 @@ target_link_libraries(micro_chaos_replay PRIVATE otac_chaos)
 # envelopes (tools/scenario_gate).
 otac_add_bench(micro_scenarios)
 target_link_libraries(micro_scenarios PRIVATE otac_scenario)
-
-# google-benchmark micro-benchmarks.
-function(otac_add_micro name)
-  otac_add_bench(${name})
-  target_link_libraries(${name} PRIVATE benchmark::benchmark)
-endfunction()
-
-otac_add_micro(micro_tracegen)

@@ -25,6 +25,11 @@ struct CacheStats {
   std::uint64_t rejected = 0;
   double rejected_bytes = 0.0;
 
+  // Admitted misses the cache policy refused to store (an object larger
+  // than the whole cache or shard). With them the accounting closes:
+  // hits + insertions + rejected + refused == requests.
+  std::uint64_t refused = 0;
+
   // FNV-1a hash over the (key, size) eviction sequence — a replay
   // fingerprint: two runs with identical eviction behavior (and only those)
   // produce the same hash. Sharded runs fold per-shard hashes in shard
@@ -74,6 +79,7 @@ struct CacheStats {
     evicted_bytes += other.evicted_bytes;
     rejected += other.rejected;
     rejected_bytes += other.rejected_bytes;
+    refused += other.refused;
     fnv64(eviction_hash, other.eviction_hash);
   }
 };

@@ -62,9 +62,13 @@ CacheStats Simulator::run(CachePolicy& policy,
         stats.hit_bytes += photo.size_bytes;
       }
     } else if (admission.admit(i, request, photo)) {
-      if (policy.insert(request.photo, photo.size_bytes) && measuring) {
-        stats.insertions += 1;
-        stats.inserted_bytes += photo.size_bytes;
+      if (policy.insert(request.photo, photo.size_bytes)) {
+        if (measuring) {
+          stats.insertions += 1;
+          stats.inserted_bytes += photo.size_bytes;
+        }
+      } else if (measuring) {
+        stats.refused += 1;  // the object is larger than the cache
       }
     } else if (measuring) {
       stats.rejected += 1;

@@ -47,6 +47,8 @@ TieredStats TieredSimulator::run(CachePolicy& oc,
         if (dc.insert(request.photo, photo.size_bytes)) {
           stats.dc.insertions += 1;
           stats.dc.inserted_bytes += photo.size_bytes;
+        } else {
+          stats.dc.refused += 1;
         }
       } else {
         stats.dc.rejected += 1;
@@ -59,6 +61,8 @@ TieredStats TieredSimulator::run(CachePolicy& oc,
       if (oc.insert(request.photo, photo.size_bytes)) {
         stats.oc.insertions += 1;
         stats.oc.inserted_bytes += photo.size_bytes;
+      } else {
+        stats.oc.refused += 1;
       }
     } else {
       stats.oc.rejected += 1;

@@ -4,7 +4,6 @@
 
 #include "cachesim/simulator.h"
 #include "core/run_metrics.h"
-#include "trace/trace_stats.h"
 
 namespace otac {
 
@@ -23,10 +22,7 @@ std::string admission_mode_name(AdmissionMode mode) {
 }
 
 IntelligentCache::IntelligentCache(const Trace& trace)
-    : trace_(&trace), oracle_(compute_next_access(trace)) {
-  const TraceStats stats = compute_trace_stats(trace);
-  total_object_bytes_ = stats.total_object_bytes;
-}
+    : trace_(&trace), oracle_(compute_next_access(trace)) {}
 
 double IntelligentCache::estimate_hit_rate(
     std::uint64_t capacity_bytes) const {
@@ -46,9 +42,9 @@ double IntelligentCache::estimate_hit_rate(
 
 double IntelligentCache::cost_v_for(std::uint64_t capacity_bytes,
                                     const OtaConfig& ota) const {
-  if (total_object_bytes_ <= 0.0) return ota.cost_v_small;
-  const double fraction =
-      static_cast<double>(capacity_bytes) / total_object_bytes_;
+  const double footprint = oracle_.total_object_bytes;
+  if (footprint <= 0.0) return ota.cost_v_small;
+  const double fraction = static_cast<double>(capacity_bytes) / footprint;
   return fraction <= ota.cost_switch_capacity_fraction ? ota.cost_v_small
                                                        : ota.cost_v_large;
 }

@@ -97,8 +97,8 @@ struct RunResult {
 
 class IntelligentCache {
  public:
-  /// Computes the next-access oracle and dataset statistics once; the
-  /// trace must outlive this object.
+  /// Computes the next-access oracle (with the object footprint) once;
+  /// the trace must outlive this object.
   explicit IntelligentCache(const Trace& trace);
 
   [[nodiscard]] RunResult run(const RunConfig& config) const;
@@ -114,7 +114,7 @@ class IntelligentCache {
   [[nodiscard]] const Trace& trace() const noexcept { return *trace_; }
   /// Byte footprint of all distinct objects (capacity scaling anchor).
   [[nodiscard]] double total_object_bytes() const noexcept {
-    return total_object_bytes_;
+    return oracle_.total_object_bytes;
   }
   /// Cost v for a capacity per the §4.4.1 schedule.
   [[nodiscard]] double cost_v_for(std::uint64_t capacity_bytes,
@@ -134,7 +134,6 @@ class IntelligentCache {
  private:
   const Trace* trace_;
   NextAccessInfo oracle_;
-  double total_object_bytes_ = 0.0;
   mutable std::mutex hit_rate_mutex_;
   mutable std::unordered_map<std::uint64_t, double> hit_rate_cache_;
 };

@@ -294,8 +294,10 @@ bool ShardEngine::insert(Shard& shard, const Request& request,
       ++shard.core->degradation.ssd_write_retries;
     }
   }
-  // A refused insert (object larger than the shard) moves no counter.
-  if (!shard.policy->insert(request.photo, photo.size_bytes)) return false;
+  if (!shard.policy->insert(request.photo, photo.size_bytes)) {
+    shard.stats.refused += 1;  // the object is larger than the shard
+    return false;
+  }
   shard.stats.insertions += 1;
   shard.stats.inserted_bytes += photo.size_bytes;
   return true;

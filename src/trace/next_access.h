@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "trace/trace.h"
@@ -20,9 +21,9 @@ struct NextAccessInfo {
   /// kNoNextAccess when request i is the photo's final appearance.
   std::vector<std::uint64_t> next;
 
-  /// prev_seen[i] = true when the photo of request i appeared earlier in the
-  /// trace (i.e. this is not its first access).
-  std::vector<bool> prev_seen;
+  /// Byte footprint of the distinct requested photos; equals
+  /// compute_trace_stats(trace).total_object_bytes bit for bit.
+  double total_object_bytes = 0.0;
 
   /// Reaccess distance (number of successive accesses until the photo is
   /// touched again, §4.3); kNoNextAccess when never reaccessed.

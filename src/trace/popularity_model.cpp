@@ -9,6 +9,14 @@
 
 namespace otac {
 
+namespace {
+
+/// Photos per calibration block: large enough that a block's work dwarfs
+/// the pool's per-block dispatch, small enough to spread 60k photos.
+constexpr std::size_t kCalibrationBlock = 16'384;
+
+}  // namespace
+
 double lomax_cdf(double x, double shape, double scale) noexcept {
   if (x <= 0.0) return 0.0;
   return 1.0 - std::pow(1.0 + x / scale, -shape);
@@ -44,7 +52,7 @@ double PopularityModel::upload_hour_boost(int hour) noexcept {
 
 PopularityAssignment PopularityModel::assign(
     const WorkloadConfig& config, const PhotoCatalog& catalog,
-    const std::vector<double>& window_mass, Rng& rng) const {
+    std::vector<double> window_mass, Rng& rng, ThreadPool& pool) const {
   const std::size_t n = catalog.photo_count();
   if (window_mass.size() != n) {
     throw std::invalid_argument("PopularityModel: window_mass size mismatch");
@@ -95,13 +103,23 @@ PopularityAssignment PopularityModel::assign(
 
   // --- One-time threshold ----------------------------------------------------
   // P(one-time | z) = 1 - sigmoid((z - theta)/tau); increasing in theta, so
-  // the expected fraction is nondecreasing and bisection applies.
+  // the expected fraction is nondecreasing and bisection applies. The terms
+  // are computed in parallel, then added serially in photo order: the one
+  // order that gives theta its bits. They live in window_mass's storage,
+  // which the raw scores no longer need.
   const double tau = config.sigmoid_tau;
+  std::vector<double>& one_time_term = window_mass;
   const auto expected_one_time = [&](double theta) {
+    pool.parallel_for_blocks(
+        n, kCalibrationBlock, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            one_time_term[i] =
+                1.0 -
+                sigmoid((static_cast<double>(result.score[i]) - theta) / tau);
+          }
+        });
     double acc = 0.0;
-    for (const float z : result.score) {
-      acc += 1.0 - sigmoid((static_cast<double>(z) - theta) / tau);
-    }
+    for (const double term : one_time_term) acc += term;
     return acc / static_cast<double>(n);
   };
   result.theta = bisect_nondecreasing(-20.0, 20.0,
@@ -139,11 +157,21 @@ PopularityAssignment PopularityModel::assign(
     }
     const double max_extra =
         static_cast<double>(config.max_accesses_per_photo) - 2.0;
+    // Every term is an integer-valued double and the total stays far below
+    // 2^53, so the per-block partial sums are exact in any order.
+    std::vector<double> partial((n_multi + kCalibrationBlock - 1) /
+                                kCalibrationBlock);
     const auto mean_count = [&](double s) {
+      pool.parallel_for_blocks(
+          n_multi, kCalibrationBlock, [&](std::size_t begin, std::size_t end) {
+            double sum = 0.0;
+            for (std::size_t j = begin; j < end; ++j) {
+              sum += 2.0 + std::min(max_extra, std::floor(s * gain[j]));
+            }
+            partial[begin / kCalibrationBlock] = sum;
+          });
       double total = static_cast<double>(n - n_multi);  // one-time photos
-      for (std::size_t j = 0; j < n_multi; ++j) {
-        total += 2.0 + std::min(max_extra, std::floor(s * gain[j]));
-      }
+      for (const double sum : partial) total += sum;
       return total / static_cast<double>(n);
     };
     result.count_scale =

@@ -11,6 +11,12 @@
 // heavy-tailed count scaled by exp(beta*z); a second bisection on a global
 // multiplier pins the mean access count so one-time accesses form the
 // target share of the trace.
+//
+// Both bisections evaluate their per-photo terms on a thread pool. The
+// one-time fraction is a non-exact floating-point sum, so its terms are
+// added serially in photo order; the mean count sums integer-valued terms
+// exactly, so its per-block partial sums may be added in any order. The
+// result is therefore bit-identical for every pool size (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,7 @@
 #include "trace/photo_catalog.h"
 #include "trace/workload_config.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace otac {
 
@@ -42,11 +49,14 @@ struct PopularityAssignment {
 class PopularityModel {
  public:
   /// window_mass[i] = probability mass of the access-time kernel falling
-  /// inside the observation window for photo i (in (0, 1]).
+  /// inside the observation window for photo i (in (0, 1]). It is taken by
+  /// value because its storage becomes the scratch array of the one-time
+  /// bisection. `pool` only evaluates the calibration terms; its size never
+  /// changes a bit.
   PopularityAssignment assign(const WorkloadConfig& config,
                               const PhotoCatalog& catalog,
-                              const std::vector<double>& window_mass,
-                              Rng& rng) const;
+                              std::vector<double> window_mass, Rng& rng,
+                              ThreadPool& pool) const;
 
   /// Hour-of-day upload boost in [-1, 1]: photos uploaded near the diurnal
   /// peak tend to catch more eyeballs. Exposed for tests.

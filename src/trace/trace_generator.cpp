@@ -18,6 +18,31 @@ double Trace::total_request_bytes() const {
   return total;
 }
 
+AccessWindow access_window(const WorkloadConfig& config,
+                           const PhotoCatalog& catalog, ThreadPool& pool) {
+  constexpr std::size_t kBlock = 16'384;
+  const double shape = config.decay_shape;
+  const double scale_s = config.decay_scale_days * kSecondsPerDay;
+  const std::int64_t horizon_s = from_days(config.horizon_days).seconds;
+  const std::span<const PhotoMeta> photos = catalog.photos();
+  const std::size_t n = photos.size();
+  AccessWindow window;
+  window.cdf_lo.resize(n);
+  window.cdf_hi.resize(n);
+  window.mass.resize(n);
+  pool.parallel_for_blocks(n, kBlock, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::int64_t upload = photos[i].upload_time.seconds;
+      const double lo = static_cast<double>(std::max<std::int64_t>(0, -upload));
+      const double hi = static_cast<double>(horizon_s - upload);
+      window.cdf_lo[i] = lomax_cdf(lo, shape, scale_s);
+      window.cdf_hi[i] = lomax_cdf(hi, shape, scale_s);
+      window.mass[i] = std::max(window.cdf_hi[i] - window.cdf_lo[i], 1e-9);
+    }
+  });
+  return window;
+}
+
 Trace TraceGenerator::generate() const {
   const WorkloadConfig& config = config_;
   if (config.num_photos == 0 || config.num_owners == 0) {
@@ -78,24 +103,12 @@ Trace TraceGenerator::generate() const {
   trace.catalog = PhotoCatalog{std::move(photos), std::move(owners)};
 
   // --- 3. Popularity / counts ----------------------------------------------------
-  // Window mass: fraction of the access-time kernel inside [0, horizon).
-  const double shape = config.decay_shape;
-  const double scale_s = config.decay_scale_days * kSecondsPerDay;
-  const std::size_t n = trace.catalog.photo_count();
-  std::vector<double> window_mass(n);
-  std::vector<double> cdf_lo(n), cdf_hi(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t upload = trace.catalog.photo(static_cast<PhotoId>(i))
-                                    .upload_time.seconds;
-    const double lo = static_cast<double>(std::max<std::int64_t>(0, -upload));
-    const double hi = static_cast<double>(horizon_s - upload);
-    cdf_lo[i] = lomax_cdf(lo, shape, scale_s);
-    cdf_hi[i] = lomax_cdf(hi, shape, scale_s);
-    window_mass[i] = std::max(cdf_hi[i] - cdf_lo[i], 1e-9);
-  }
+  ThreadPool pool;
+  AccessWindow window = access_window(config, trace.catalog, pool);
   const PopularityModel popularity;
   PopularityAssignment assignment =
-      popularity.assign(config, trace.catalog, window_mass, pop_rng);
+      popularity.assign(config, trace.catalog, std::move(window.mass),
+                        pop_rng, pool);
   trace.latent_score = assignment.score;
 
   // --- 4. Events --------------------------------------------------------------------
@@ -103,13 +116,16 @@ Trace TraceGenerator::generate() const {
   for (const std::uint32_t c : assignment.count) total_events += c;
   trace.requests.reserve(total_events);
 
-  for (std::size_t i = 0; i < n; ++i) {
+  const double shape = config.decay_shape;
+  const double scale_s = config.decay_scale_days * kSecondsPerDay;
+  for (std::size_t i = 0; i < assignment.count.size(); ++i) {
     const auto id = static_cast<PhotoId>(i);
     const std::int64_t upload = trace.catalog.photo(id).upload_time.seconds;
     for (std::uint32_t k = 0; k < assignment.count[i]; ++k) {
       // Offset drawn from the Lomax kernel truncated to the window.
       const double u =
-          cdf_lo[i] + event_rng.next_double() * (cdf_hi[i] - cdf_lo[i]);
+          window.cdf_lo[i] +
+          event_rng.next_double() * (window.cdf_hi[i] - window.cdf_lo[i]);
       const double offset = lomax_cdf_inverse(u, shape, scale_s);
       const std::int64_t raw_time =
           upload + static_cast<std::int64_t>(offset);

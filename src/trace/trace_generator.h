@@ -7,21 +7,41 @@
 //                                    diurnal within uniformly chosen days over
 //                                    [-backlog, horizon); type & size drawn
 //   3. PopularityModel::assign    — latent score + calibrated access counts
+//                                    over each photo's access window
 //   4. access-time sampling       — truncated-Lomax day offsets, diurnal
 //                                    second-of-day, terminal type
 //   5. sort by time
 #pragma once
 
+#include <vector>
+
 #include "trace/trace.h"
+#include "util/thread_pool.h"
 
 namespace otac {
+
+/// Each photo's access-time kernel (Lomax in the time since upload)
+/// truncated to the observation window [0, horizon): the kernel CDF at both
+/// window ends, between which event offsets are drawn, and the mass inside,
+/// floored at 1e-9 (PopularityModel::assign's window_mass).
+struct AccessWindow {
+  std::vector<double> cdf_lo;
+  std::vector<double> cdf_hi;
+  std::vector<double> mass;
+};
+
+/// Per photo and independent, so computed fully in parallel on `pool`.
+[[nodiscard]] AccessWindow access_window(const WorkloadConfig& config,
+                                         const PhotoCatalog& catalog,
+                                         ThreadPool& pool);
 
 class TraceGenerator {
  public:
   explicit TraceGenerator(WorkloadConfig config) : config_(std::move(config)) {}
 
   /// Generate the full trace. Deterministic for a fixed config (including
-  /// config.seed); independent of platform and thread count.
+  /// config.seed); independent of platform and thread count. The
+  /// calibration steps run on a hardware-sized pool owned by the call.
   [[nodiscard]] Trace generate() const;
 
   [[nodiscard]] const WorkloadConfig& config() const noexcept { return config_; }

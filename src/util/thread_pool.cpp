@@ -93,4 +93,14 @@ void ThreadPool::parallel_for(std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ThreadPool::parallel_for_blocks(
+    std::size_t n, std::size_t block,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t blocks = (n + block - 1) / block;
+  parallel_for(blocks, [&](std::size_t b) {
+    const std::size_t begin = b * block;
+    body(begin, std::min(begin + block, n));
+  });
+}
+
 }  // namespace otac

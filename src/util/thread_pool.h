@@ -40,6 +40,14 @@ class ThreadPool {
   /// until done. Exceptions in body are rethrown in the caller (first one).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
+  /// Run body(begin, end) over [0, n) cut into consecutive blocks of
+  /// `block` indices (the last one may be shorter), as parallel_for does.
+  /// The cut depends only on n and block, never on the thread count, so
+  /// per-block results indexed by begin / block are pool-size independent.
+  void parallel_for_blocks(
+      std::size_t n, std::size_t block,
+      const std::function<void(std::size_t, std::size_t)>& body);
+
  private:
   void worker_loop();
 

@@ -67,6 +67,20 @@ TEST(Simulator, EvictionAccounting) {
   EXPECT_DOUBLE_EQ(stats.evicted_bytes, 20.0);
 }
 
+TEST(Simulator, RefusedInsertsCloseTheAccounting) {
+  // Every object is larger than the cache: each admitted miss is refused.
+  const Trace trace = make_manual_trace({1, 2, 1, 3}, 100);
+  LruCache cache{50};
+  AlwaysAdmit admission;
+  const CacheStats stats = Simulator{trace}.run(cache, admission);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.refused, 4u);
+  EXPECT_EQ(stats.hits + stats.insertions + stats.rejected + stats.refused,
+            stats.requests);
+}
+
 TEST(Simulator, OracleAdmissionFiltersOneTimers) {
   // Objects 1,2 reaccessed closely; 3,4,5 one-time.
   const Trace trace = make_manual_trace({1, 2, 1, 2, 3, 4, 5}, 10);
@@ -139,7 +153,10 @@ TEST(CacheStatsStruct, MergeAddsFields) {
   b.requests = 6;
   b.hits = 1;
   b.request_bytes = 50;
+  a.refused = 2;
+  b.refused = 3;
   a.merge(b);
+  EXPECT_EQ(a.refused, 5u);
   EXPECT_EQ(a.requests, 16u);
   EXPECT_EQ(a.hits, 6u);
   EXPECT_EQ(a.misses(), 10u);

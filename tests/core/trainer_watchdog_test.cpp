@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <thread>
 #include <vector>
 
@@ -150,7 +152,12 @@ TEST_F(WatchdogTest, ThreadedHangTimesOutBuffersAndRecovers) {
   TrainerWatchdog watchdog{h.trainer, config};
   fail::Registry::instance().enable_once("trainer.train.hang");
 
+  // The last few hundred samples before the cutoff (inside the training
+  // window) keep each real fit far below the timeout.
   std::vector<TrainingSample> samples = h.real_samples();
+  samples.erase(samples.begin(),
+                samples.end() - std::min<std::ptrdiff_t>(
+                                    std::ssize(samples), 400));
   const std::size_t half = samples.size() / 2;
   std::vector<TrainingSample> first(samples.begin(),
                                     samples.begin() + half);
@@ -170,10 +177,20 @@ TEST_F(WatchdogTest, ThreadedHangTimesOutBuffersAndRecovers) {
   EXPECT_GT(watchdog.buffered_samples(), 0u);
 
   // Let the hang drain; its (stale) result must have been discarded, and
-  // the next barrier ingests the buffered samples and trains normally.
+  // a later barrier ingests the buffered samples and trains normally. A
+  // real fit is not bounded by the 20 ms timeout (a sanitizer build on a
+  // loaded box can take longer, and the hung job ends with one too), so a
+  // recovery barrier may find the worker busy or time out itself; keep
+  // holding barriers until one trains.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  const RetrainOutcome recovered =
+  RetrainOutcome recovered =
       watchdog.retrain({}, h.cutoff(), h.cutoff_time());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (recovered.stalled() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    recovered = watchdog.retrain({}, h.cutoff(), h.cutoff_time());
+  }
   ASSERT_EQ(recovered.status, RetrainOutcome::Status::trained);
   EXPECT_TRUE(recovered.tree.has_value());
   EXPECT_EQ(watchdog.buffered_samples(), 0u);

@@ -117,6 +117,8 @@ TEST(DaemonE2e, MissAdmittedRepliesOnlyForStoredObjects) {
   ASSERT_GT(stats.requests - stats.hits - stats.insertions - stats.rejected,
             0u)
       << "no admitted miss was refused; the test would pass vacuously";
+  EXPECT_EQ(stats.hits + stats.insertions + stats.rejected + stats.refused,
+            stats.requests);
   EXPECT_EQ(client.admitted, stats.insertions);
   EXPECT_EQ(client.rejected, stats.requests - stats.hits - stats.insertions);
 }

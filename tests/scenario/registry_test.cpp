@@ -113,22 +113,18 @@ TEST(ScenarioRegistry, ShardCountsAreSumEquivalent) {
       // Shard partitioning must conserve the request stream...
       EXPECT_EQ(one.stats.requests, four.stats.requests) << label;
       EXPECT_EQ(four.stats.requests, runner.trace().requests.size()) << label;
-      // ...and the per-shard accounting must stay closed on both. Shed
-      // requests count as rejections, so the identity holds under
-      // overload; the one legitimate gap is an admitted miss whose object
-      // exceeds the (per-shard) capacity — policy.insert refuses and no
-      // counter moves — so bound that skip instead of pinning equality.
+      // ...and the per-shard accounting must close exactly on both. Shed
+      // requests count as rejections, and an admitted miss whose object
+      // exceeds the (per-shard) capacity counts as refused.
       for (const auto& [shards, result] :
            {std::pair<int, const RunResult*>{1, &one}, {4, &four}}) {
-        const std::uint64_t accounted = result->stats.hits +
-                                        result->stats.insertions +
-                                        result->stats.rejected;
-        EXPECT_LE(accounted, result->stats.requests)
-            << label << " shards=" << shards;
-        EXPECT_GE(accounted + 16, result->stats.requests)
-            << label << " shards=" << shards << " hits=" << result->stats.hits
-            << " insertions=" << result->stats.insertions
-            << " rejected=" << result->stats.rejected;
+        const CacheStats& stats = result->stats;
+        EXPECT_EQ(stats.hits + stats.insertions + stats.rejected +
+                      stats.refused,
+                  stats.requests)
+            << label << " shards=" << shards << " hits=" << stats.hits
+            << " insertions=" << stats.insertions
+            << " rejected=" << stats.rejected << " refused=" << stats.refused;
       }
       // Admission criteria are global — independent of sharding.
       EXPECT_TRUE(one.criteria == four.criteria) << label;

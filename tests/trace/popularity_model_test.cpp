@@ -62,11 +62,13 @@ class PopularityFixture : public ::testing::Test {
   WorkloadConfig config_;
   PhotoCatalog catalog_;
   std::vector<double> mass_;
+  ThreadPool pool_;
 };
 
 TEST_F(PopularityFixture, ScoresAreStandardized) {
   Rng rng{42};
-  const auto result = PopularityModel{}.assign(config_, catalog_, mass_, rng);
+  const auto result =
+      PopularityModel{}.assign(config_, catalog_, mass_, rng, pool_);
   double mean = 0.0;
   for (const float z : result.score) mean += z;
   mean /= result.score.size();
@@ -79,7 +81,8 @@ TEST_F(PopularityFixture, ScoresAreStandardized) {
 
 TEST_F(PopularityFixture, OneTimeFractionMatchesTarget) {
   Rng rng{42};
-  const auto result = PopularityModel{}.assign(config_, catalog_, mass_, rng);
+  const auto result =
+      PopularityModel{}.assign(config_, catalog_, mass_, rng, pool_);
   std::size_t one_time = 0;
   for (const std::uint32_t c : result.count) {
     ASSERT_GE(c, 1u);
@@ -92,7 +95,8 @@ TEST_F(PopularityFixture, OneTimeFractionMatchesTarget) {
 
 TEST_F(PopularityFixture, AccessShareMatchesTarget) {
   Rng rng{42};
-  const auto result = PopularityModel{}.assign(config_, catalog_, mass_, rng);
+  const auto result =
+      PopularityModel{}.assign(config_, catalog_, mass_, rng, pool_);
   double total = 0.0;
   double one_time = 0.0;
   for (const std::uint32_t c : result.count) {
@@ -104,7 +108,8 @@ TEST_F(PopularityFixture, AccessShareMatchesTarget) {
 
 TEST_F(PopularityFixture, HighScorePhotosGetMoreAccesses) {
   Rng rng{42};
-  const auto result = PopularityModel{}.assign(config_, catalog_, mass_, rng);
+  const auto result =
+      PopularityModel{}.assign(config_, catalog_, mass_, rng, pool_);
   double top_mean = 0.0, bottom_mean = 0.0;
   std::size_t top_n = 0, bottom_n = 0;
   for (std::size_t i = 0; i < result.count.size(); ++i) {
@@ -124,21 +129,22 @@ TEST_F(PopularityFixture, HighScorePhotosGetMoreAccesses) {
 TEST_F(PopularityFixture, CountsRespectCap) {
   config_.max_accesses_per_photo = 16;
   Rng rng{42};
-  const auto result = PopularityModel{}.assign(config_, catalog_, mass_, rng);
+  const auto result =
+      PopularityModel{}.assign(config_, catalog_, mass_, rng, pool_);
   for (const std::uint32_t c : result.count) EXPECT_LE(c, 16u);
 }
 
 TEST_F(PopularityFixture, RejectsMismatchedMass) {
   Rng rng{42};
   std::vector<double> wrong(10, 0.5);
-  EXPECT_THROW(PopularityModel{}.assign(config_, catalog_, wrong, rng),
+  EXPECT_THROW(PopularityModel{}.assign(config_, catalog_, wrong, rng, pool_),
                std::invalid_argument);
 }
 
 TEST_F(PopularityFixture, RejectsInfeasibleShare) {
   config_.one_time_access_share = 0.9;  // > object fraction => mu < 1
   Rng rng{42};
-  EXPECT_THROW(PopularityModel{}.assign(config_, catalog_, mass_, rng),
+  EXPECT_THROW(PopularityModel{}.assign(config_, catalog_, mass_, rng, pool_),
                std::invalid_argument);
 }
 

@@ -48,6 +48,18 @@ TEST(ThreadPool, ParallelForPropagatesException) {
                std::runtime_error);
 }
 
+TEST(ThreadPool, ParallelForBlocksCutsFixedBlocks) {
+  ThreadPool pool{3};
+  std::vector<std::atomic<int>> touched(1000);
+  std::vector<std::size_t> block_end(4, 0);
+  pool.parallel_for_blocks(1000, 256, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
+    block_end[begin / 256] = end;
+  });
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+  EXPECT_EQ(block_end, (std::vector<std::size_t>{256, 512, 768, 1000}));
+}
+
 TEST(ThreadPool, ReusableAfterParallelFor) {
   ThreadPool pool{2};
   std::atomic<int> counter{0};
