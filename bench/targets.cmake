@@ -36,7 +36,6 @@ otac_add_bench(ablate_feature_sets)
 # pool and emit BENCH_<name>.json reports (see bench/bench_json.h).
 otac_add_bench(micro_classifier)
 otac_add_bench(micro_cache_ops)
-otac_add_bench(micro_sharded_replay)
 otac_add_bench(micro_obs_overhead)
 
 # Chaos-schedule replay report (tools/chaos): a behavior gate, not a

@@ -75,7 +75,7 @@ case "$JOB" in
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     cmake -B "$BUILD_DIR" -S . -DOTAC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "$BUILD_DIR" --target test_concurrency test_daemon_e2e \
-      -j"$(nproc)"
+      test_lru_estimate -j"$(nproc)"
     ctest --test-dir "$BUILD_DIR" -L concurrency --output-on-failure -j"$(nproc)"
     echo "concurrency suite clean under TSan"
     ;;
@@ -113,7 +113,7 @@ case "$JOB" in
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$BUILD_DIR" -j"$(nproc)" \
       --target micro_cache_ops micro_classifier micro_obs_overhead \
-               micro_sharded_replay micro_chaos_replay micro_scenarios
+               micro_chaos_replay micro_scenarios
     mkdir -p "$BUILD_DIR/bench-smoke"
     (
       cd "$BUILD_DIR/bench-smoke"
@@ -121,9 +121,6 @@ case "$JOB" in
       ../bench/micro_cache_ops BENCH_cache_ops.json
       ../bench/micro_classifier BENCH_classifier.json
       ../bench/micro_obs_overhead BENCH_obs_overhead.json
-      # Sharded replay at a tiny trace scale (argv[2]); the smoke run's job
-      # is exercising the batched admission path end-to-end, not timing.
-      ../bench/micro_sharded_replay BENCH_sharded_replay.json 0.05
       # Chaos replay report: a behavior gate (completion/recovery/shed
       # rate per fault scenario), self-failing on any scenario miss.
       ../bench/micro_chaos_replay BENCH_chaos.json 0.05
@@ -135,19 +132,6 @@ case "$JOB" in
         python3 -m json.tool "$report" > /dev/null
         echo "valid JSON: $report"
       done
-      # The oversubscription warning must track hardware_concurrency: a
-      # cell carries "warning" iff threads > hardware_concurrency.
-      python3 - <<'EOF'
-import json
-with open("BENCH_sharded_replay.json") as f:
-    report = json.load(f)
-for cell in report["cells"]:
-    oversubscribed = cell["threads"] > cell["hardware_concurrency"]
-    if oversubscribed != ("warning" in cell):
-        raise SystemExit(
-            f"warning field inconsistent with oversubscription: {cell}")
-print("sharded-replay warning field consistent")
-EOF
     )
     # Schema gate: json.tool only proves the reports parse; a bench that
     # silently emitted zero cells (or dropped the keys the perf notes

@@ -2,8 +2,10 @@
 
 #include <stdexcept>
 
+#include "cachesim/lru_estimate.h"
 #include "cachesim/simulator.h"
 #include "core/run_metrics.h"
+#include "util/thread_pool.h"
 
 namespace otac {
 
@@ -31,10 +33,14 @@ double IntelligentCache::estimate_hit_rate(
     const auto cached = hit_rate_cache_.find(capacity_bytes);
     if (cached != hit_rate_cache_.end()) return cached->second;
   }
-  const auto policy = make_policy(PolicyKind::lru, capacity_bytes);
-  AlwaysAdmit admission;
-  Simulator sim{*trace_};
-  const double h = sim.run(*policy, admission).file_hit_rate();
+  // Integer chunk counts: the same double for every pool size.
+  ThreadPool pool;
+  const std::uint64_t n = trace_->requests.size();
+  const double h =
+      n == 0 ? 0.0
+             : static_cast<double>(
+                   lru_hit_count(*trace_, oracle_, capacity_bytes, pool)) /
+                   static_cast<double>(n);
   const std::lock_guard lock(hit_rate_mutex_);
   hit_rate_cache_.emplace(capacity_bytes, h);
   return h;

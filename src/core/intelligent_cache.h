@@ -103,9 +103,10 @@ class IntelligentCache {
 
   [[nodiscard]] RunResult run(const RunConfig& config) const;
 
-  /// Plain-LRU hit rate at a capacity (memoized; used for the criteria).
-  /// Thread-safe: run() and estimate_hit_rate() may be called concurrently
-  /// from sweep workers.
+  /// Plain-LRU hit rate at a capacity (memoized; used for the criteria),
+  /// counted exactly in parallel chunks on a pool owned by the call
+  /// (cachesim/lru_estimate.h). Thread-safe: run() and estimate_hit_rate()
+  /// may be called concurrently from sweep workers.
   [[nodiscard]] double estimate_hit_rate(std::uint64_t capacity_bytes) const;
 
   [[nodiscard]] const NextAccessInfo& oracle() const noexcept {

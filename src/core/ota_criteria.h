@@ -13,6 +13,7 @@
 
 #include "trace/next_access.h"
 #include "trace/trace.h"
+#include "util/thread_pool.h"
 
 namespace otac {
 
@@ -26,12 +27,15 @@ struct CriteriaResult {
                          const CriteriaResult&) = default;
 };
 
-/// Fraction of accesses whose reaccess distance exceeds `m`.
+/// Fraction of accesses whose reaccess distance exceeds `m`, counted in
+/// parallel on `pool`; the same double for every pool size.
 [[nodiscard]] double one_time_fraction(const NextAccessInfo& oracle,
-                                       std::uint64_t num_requests, double m);
+                                       std::uint64_t num_requests, double m,
+                                       ThreadPool& pool);
 
-/// Fixpoint computation of M. `hit_rate_estimate` comes from a plain
-/// simulation of the target capacity (the paper estimates h the same way).
+/// Fixpoint computation of M on a pool owned by the call.
+/// `hit_rate_estimate` comes from a plain LRU replay at the target capacity
+/// (the paper estimates h the same way).
 [[nodiscard]] CriteriaResult compute_criteria(const Trace& trace,
                                               const NextAccessInfo& oracle,
                                               std::uint64_t capacity_bytes,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "cachesim/cache_policy.h"
@@ -48,6 +49,10 @@ struct Golden {
   std::size_t object_count;
   std::uint64_t evict_hash;
 };
+
+// Prints a case as its name. gtest's default byte dump would put the name
+// pointer's address, which changes from run to run, into every ctest name.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
 
 // Captured from the seed list/unordered_map implementations.
 constexpr Golden kGolden[] = {

@@ -28,10 +28,42 @@ TEST(Criteria, OneTimeFractionByThreshold) {
   // Distances: photo 0 -> 2, photo 1 -> 2, then terminal accesses.
   const Trace trace = make_manual_trace({0, 1, 0, 1}, 100);
   const NextAccessInfo oracle = compute_next_access(trace);
-  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 4, 1.0), 1.0);   // all > 1
-  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 4, 2.0), 0.5);   // dist 2 kept
-  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 4, 100.0), 0.5); // terminals stay
-  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 0, 1.0), 0.0);
+  ThreadPool pool{2};
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 4, 1.0, pool), 1.0);   // all > 1
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 4, 2.0, pool), 0.5);   // dist 2 kept
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 4, 100.0, pool), 0.5); // terminals stay
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, 0, 1.0, pool), 0.0);
+}
+
+TEST(Criteria, ParallelOneTimeFractionEqualsSerialCount) {
+  WorkloadConfig config;
+  config.num_owners = 3000;
+  config.num_photos = 60'000;
+  const Trace trace = TraceGenerator{config}.generate();
+  const NextAccessInfo oracle = compute_next_access(trace);
+  const std::uint64_t n = trace.requests.size();
+  const auto serial_fraction = [&](double m) {
+    std::uint64_t one_time = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (oracle.next[i] == kNoNextAccess ||
+          static_cast<double>(oracle.next[i] - i) > m) {
+        ++one_time;
+      }
+    }
+    return static_cast<double>(one_time) / static_cast<double>(n);
+  };
+  for (const double m : {1.0, 1000.0, 1e5, 1e9}) {
+    for (const std::size_t threads : {1, 2, 3, 8}) {
+      ThreadPool pool{threads};
+      EXPECT_EQ(one_time_fraction(oracle, n, m, pool), serial_fraction(m))
+          << "m " << m << ", " << threads << " threads";
+    }
+  }
+  // The fixpoint's third p is the serial count at the M of its second.
+  const CriteriaResult two = compute_criteria(trace, oracle, 50'000'000, 0.4, 2);
+  const CriteriaResult three =
+      compute_criteria(trace, oracle, 50'000'000, 0.4, 3);
+  EXPECT_EQ(three.p, serial_fraction(two.m));
 }
 
 TEST(Criteria, FormulaMatchesEquation) {

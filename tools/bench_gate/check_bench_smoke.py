@@ -31,9 +31,6 @@ REQUIRED_CELL_KEYS = {
     # obs_overhead ends with a heterogeneous summary cell ("ratio"/"bound"),
     # so only the key all cells share is required.
     "BENCH_obs_overhead.json": ("cell",),
-    "BENCH_sharded_replay.json": ("mode", "shards", "threads", "requests",
-                                  "file_hit_rate", "ops_per_sec",
-                                  "hardware_concurrency"),
     "BENCH_chaos.json": ("scenario", "requests", "completed",
                          "failpoint_fires", "shed_rate", "ok"),
     "BENCH_scenarios.json": ("scenario", "mode", "requests", "file_hit_rate",

@@ -85,9 +85,8 @@ class CheckBenchSmokeTest(unittest.TestCase):
         # The bench-smoke job emits exactly these reports today; keep the
         # schema map in lockstep so none regresses to generic-only checks.
         for name in ("BENCH_cache_ops.json", "BENCH_classifier.json",
-                     "BENCH_obs_overhead.json", "BENCH_sharded_replay.json",
-                     "BENCH_chaos.json", "BENCH_scenarios.json",
-                     "BENCH_daemon.json"):
+                     "BENCH_obs_overhead.json", "BENCH_chaos.json",
+                     "BENCH_scenarios.json", "BENCH_daemon.json"):
             self.assertIn(name, check_bench_smoke.REQUIRED_CELL_KEYS)
 
 
