@@ -2,8 +2,9 @@
 // (t_query in the paper's Eq. 4/5 is the cache lookup; this shows all
 // policies stay O(1)-ish and far below the 3 ms HDD miss penalty).
 //
-// Runs every policy x workload cell on the shared thread pool and writes a
-// machine-readable report to BENCH_cache_ops.json (override with argv[1]).
+// Runs the policy x workload cells one at a time, so no cell times another's
+// contention, and writes a machine-readable report to BENCH_cache_ops.json
+// (override with argv[1]).
 // Workloads probe the three regimes that matter:
 //   mixed          steady-state churn (hits + misses + evictions)
 //   hit_heavy      resident working set, almost pure hit path
@@ -18,7 +19,6 @@
 #include "bench/bench_json.h"
 #include "cachesim/cache_policy.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/zipf.h"
 
 namespace {
@@ -139,16 +139,11 @@ int main(int argc, char** argv) {
     for (const PolicyKind kind : policies) cells.push_back({kind, &workload});
   }
 
-  std::vector<CellResult> results(cells.size());
-  ThreadPool pool;
-  pool.parallel_for(cells.size(), [&](std::size_t i) {
-    results[i] = run_cell(cells[i].kind, *cells[i].workload, kReps);
-  });
-
   bench::Report report;
   report.bench = "cache_ops";
   report.reps = kReps;
-  for (const CellResult& result : results) {
+  for (const Cell& cell : cells) {
+    const CellResult result = run_cell(cell.kind, *cell.workload, kReps);
     std::puts(result.line.c_str());
     report.cells.push_back(result.json);
   }

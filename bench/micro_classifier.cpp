@@ -3,10 +3,10 @@
 // retraining cost (paper: "a few minutes" on 144k rows — the presorted
 // splitter makes a single tree a sub-second affair).
 //
-// Runs each cell on the shared thread pool and writes a machine-readable
-// report to BENCH_classifier.json (override with argv[1]). Fit cells use a
-// synthetic 8-feature dataset (deterministic seeds) so fit-time numbers are
-// comparable across machines and revisions.
+// Runs the cells one at a time, so no cell times another's contention, and
+// writes a machine-readable report to BENCH_classifier.json (override with
+// argv[1]). Fit cells use a synthetic 8-feature dataset (deterministic
+// seeds) so fit-time numbers are comparable across machines and revisions.
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -18,7 +18,6 @@
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -196,15 +195,11 @@ int main(int argc, char** argv) {
       [] { return run_history_table(kReps); },
   };
 
-  std::vector<CellResult> results(cells.size());
-  ThreadPool pool;
-  pool.parallel_for(cells.size(),
-                    [&](std::size_t i) { results[i] = cells[i](); });
-
   bench::Report report;
   report.bench = "classifier";
   report.reps = kReps;
-  for (const CellResult& result : results) {
+  for (const auto& cell : cells) {
+    const CellResult result = cell();
     std::puts(result.line.c_str());
     report.cells.push_back(result.json);
   }

@@ -25,6 +25,7 @@ std::uint64_t config_fingerprint(const SweepConfig& config,
     h *= 0x100000001b3ULL;
   };
   mix(static_cast<std::uint64_t>(config.version));
+  mix(kTraceGeneratorRevision);
   for (const double gb : config.paper_gb) {
     mix(static_cast<std::uint64_t>(gb * 1000.0));
   }

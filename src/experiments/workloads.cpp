@@ -1,11 +1,13 @@
 #include "experiments/workloads.h"
 
+#include <bit>
 #include <filesystem>
 #include <sstream>
 
 #include "trace/trace_io.h"
 #include "trace/trace_stats.h"
 #include "util/env_config.h"
+#include "util/fnv.h"
 
 namespace otac {
 
@@ -15,35 +17,61 @@ WorkloadConfig bench_workload_config(double scale, std::uint64_t seed) {
   return scaled(config, scale);
 }
 
+std::string bench_trace_cache_name(const WorkloadConfig& config,
+                                   std::uint32_t generator_revision) {
+  // Every field below; a field added to WorkloadConfig must join the hash.
+  static_assert(sizeof(WorkloadConfig) == 464,
+                "WorkloadConfig changed: update bench_trace_cache_name");
+  std::uint64_t fp = kFnvOffset;
+  const auto mix = [&fp](double v) {
+    fnv64(fp, std::bit_cast<std::uint64_t>(v));
+  };
+  fnv64(fp, generator_revision);
+  fnv64(fp, config.seed);
+  fnv64(fp, config.num_owners);
+  fnv64(fp, config.num_photos);
+  mix(config.horizon_days);
+  mix(config.backlog_days);
+  mix(config.one_time_object_fraction);
+  mix(config.one_time_access_share);
+  fnv64(fp, config.max_accesses_per_photo);
+  mix(config.owner_activity_sigma);
+  mix(config.friends_activity_coupling);
+  mix(config.mean_active_friends);
+  mix(config.owner_quality_sigma);
+  mix(config.weight_owner_quality);
+  mix(config.weight_type);
+  mix(config.weight_upload_hour);
+  mix(config.weight_noise);
+  mix(config.weight_window_mass);
+  mix(config.sigmoid_tau);
+  mix(config.count_tail_alpha);
+  mix(config.count_score_beta);
+  fnv64(fp, static_cast<std::uint64_t>(config.type_popularity_rotation_days));
+  mix(config.decay_shape);
+  mix(config.decay_scale_days);
+  mix(config.mobile_share);
+  mix(config.diurnal.trough_hour);
+  mix(config.diurnal.peak_hour);
+  mix(config.diurnal.peak_to_trough);
+  for (const double m : config.type_mix) mix(m);
+  for (const double t : config.type_popularity) mix(t);
+  for (const double s : config.resolution_size_bytes) mix(s);
+  mix(config.png_size_factor);
+  mix(config.size_sigma);
+  std::ostringstream name;
+  name << "trace_r" << generator_revision << "_s" << config.seed << "_p"
+       << config.num_photos << "_" << std::hex << fp << ".bin";
+  return name.str();
+}
+
 Trace load_bench_trace(double scale, std::uint64_t seed) {
   const WorkloadConfig config = bench_workload_config(scale, seed);
   const std::string dir = bench_cache_dir();
   if (dir.empty()) return TraceGenerator{config}.generate();
 
-  // Fingerprint the shape knobs so config changes invalidate the cache.
-  std::uint64_t fp = 0xcbf29ce484222325ULL;
-  const auto mix = [&fp](double v) {
-    fp ^= static_cast<std::uint64_t>(v * 1e6);
-    fp *= 0x100000001b3ULL;
-  };
-  mix(config.one_time_object_fraction);
-  mix(config.one_time_access_share);
-  mix(config.horizon_days);
-  mix(config.weight_noise);
-  mix(config.weight_owner_quality);
-  mix(config.weight_type);
-  mix(config.sigmoid_tau);
-  mix(config.count_score_beta);
-  mix(config.count_tail_alpha);
-  mix(config.decay_shape);
-  mix(config.decay_scale_days);
-  mix(static_cast<double>(config.type_popularity_rotation_days));
-  for (const double s : config.resolution_size_bytes) mix(s);
-  for (const double m : config.type_mix) mix(m);
-  std::ostringstream name;
-  name << "trace_s" << seed << "_x" << scale << "_p" << config.num_photos
-       << "_" << std::hex << fp << ".bin";
-  const std::filesystem::path path = std::filesystem::path(dir) / name.str();
+  const std::filesystem::path path =
+      std::filesystem::path(dir) / bench_trace_cache_name(config);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (!ec && std::filesystem::exists(path)) {

@@ -3,6 +3,8 @@
 // figure/table harnesses agree on the input.
 #pragma once
 
+#include <string>
+
 #include "trace/trace.h"
 #include "trace/trace_generator.h"
 
@@ -20,6 +22,13 @@ struct BenchWorkloadInfo {
 /// The reference workload: 9 simulated days, ~400k photos at scale 1.
 [[nodiscard]] WorkloadConfig bench_workload_config(double scale,
                                                    std::uint64_t seed);
+
+/// File name of the disk-cached trace of `config`: a hash of the generator
+/// revision and of every WorkloadConfig field, so a config change or a
+/// change to generate()'s output never serves a stale trace.
+[[nodiscard]] std::string bench_trace_cache_name(
+    const WorkloadConfig& config,
+    std::uint32_t generator_revision = kTraceGeneratorRevision);
 
 /// Generate (or reuse a disk-cached copy of) the bench trace.
 /// The trace binary is cached under the OTAC_CACHE_DIR so the

@@ -63,29 +63,42 @@ PopularityAssignment PopularityModel::assign(
   result.score.resize(n);
 
   // --- Raw scores -----------------------------------------------------------
+  // The pure per-photo terms run on the pool: the quality, type and hour
+  // terms summed left to right, and the window-mass term (in window_mass's
+  // own storage). The noise draw and the two remaining additions stay
+  // serial, in the serial expression's association order.
+  std::vector<double> fixed_term(n);
+  pool.parallel_for_blocks(
+      n, kCalibrationBlock, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const PhotoMeta& photo = catalog.photo(static_cast<PhotoId>(i));
+          const OwnerMeta& owner = catalog.owner(photo.owner);
+          int type_slot = type_index(photo.type);
+          if (config.type_popularity_rotation_days > 0) {
+            // Concept drift: rotate the type->popularity mapping by upload
+            // day.
+            const std::int64_t shift = day_index(photo.upload_time) /
+                                       config.type_popularity_rotation_days;
+            type_slot = static_cast<int>(
+                ((type_slot + shift) % kPhotoTypeCount + kPhotoTypeCount) %
+                kPhotoTypeCount);
+          }
+          const double type_term =
+              config.type_popularity[static_cast<std::size_t>(type_slot)];
+          const double hour_term =
+              upload_hour_boost(hour_of_day(photo.upload_time));
+          fixed_term[i] = config.weight_owner_quality *
+                              static_cast<double>(owner.quality) +
+                          config.weight_type * type_term +
+                          config.weight_upload_hour * hour_term;
+          window_mass[i] = config.weight_window_mass *
+                           std::log(std::max(window_mass[i], 1e-9));
+        }
+      });
   double mean = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const PhotoMeta& photo = catalog.photo(static_cast<PhotoId>(i));
-    const OwnerMeta& owner = catalog.owner(photo.owner);
-    int type_slot = type_index(photo.type);
-    if (config.type_popularity_rotation_days > 0) {
-      // Concept drift: rotate the type->popularity mapping by upload day.
-      const std::int64_t shift = day_index(photo.upload_time) /
-                                 config.type_popularity_rotation_days;
-      type_slot = static_cast<int>(
-          ((type_slot + shift) % kPhotoTypeCount + kPhotoTypeCount) %
-          kPhotoTypeCount);
-    }
-    const double type_term =
-        config.type_popularity[static_cast<std::size_t>(type_slot)];
-    const double hour_term = upload_hour_boost(hour_of_day(photo.upload_time));
-    const double mass = std::max(window_mass[i], 1e-9);
-    const double raw = config.weight_owner_quality *
-                           static_cast<double>(owner.quality) +
-                       config.weight_type * type_term +
-                       config.weight_upload_hour * hour_term +
-                       config.weight_noise * rng.normal() +
-                       config.weight_window_mass * std::log(mass);
+    const double raw = fixed_term[i] + config.weight_noise * rng.normal() +
+                       window_mass[i];
     result.score[i] = static_cast<float>(raw);
     mean += raw;
   }
@@ -149,12 +162,17 @@ PopularityAssignment PopularityModel::assign(
   const std::size_t n_multi = multi.size();
   if (n_multi > 0) {
     const ZipfSampler tail{100'000, config.count_tail_alpha};
+    // exp(beta*z) on the pool; the tail draws stay serial. A product of
+    // two doubles has the same bits in either operand order.
     std::vector<double> gain(n_multi);
-    for (std::size_t j = 0; j < n_multi; ++j) {
-      const double base = static_cast<double>(tail.sample(rng));
-      gain[j] = base * std::exp(config.count_score_beta *
-                                static_cast<double>(result.score[multi[j]]));
-    }
+    pool.parallel_for_blocks(
+        n_multi, kCalibrationBlock, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t j = begin; j < end; ++j) {
+            gain[j] = std::exp(config.count_score_beta *
+                               static_cast<double>(result.score[multi[j]]));
+          }
+        });
+    for (double& g : gain) g *= static_cast<double>(tail.sample(rng));
     const double max_extra =
         static_cast<double>(config.max_accesses_per_photo) - 2.0;
     // Every term is an integer-valued double and the total stays far below

@@ -12,7 +12,9 @@
 // multiplier pins the mean access count so one-time accesses form the
 // target share of the trace.
 //
-// Both bisections evaluate their per-photo terms on a thread pool. The
+// The raw scores' and count gains' pure per-photo terms and both
+// bisections' terms are evaluated on a thread pool; the RNG draws, and the
+// additions that follow a draw, stay serial in the serial code's order. The
 // one-time fraction is a non-exact floating-point sum, so its terms are
 // added serially in photo order; the mean count sums integer-valued terms
 // exactly, so its per-block partial sums may be added in any order. The

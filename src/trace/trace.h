@@ -13,7 +13,10 @@ namespace otac {
 struct Trace {
   WorkloadConfig config{};
   PhotoCatalog catalog;
-  std::vector<Request> requests;  // sorted by (time, photo)
+  // Sorted by time. Generated traces are ordered by (time, photo,
+  // terminal), pc before mobile: a total order on the request value, so any
+  // correct sort yields the same bytes (DESIGN.md §6).
+  std::vector<Request> requests;
   SimTime horizon{};              // requests all fall in [0, horizon)
 
   // Debug/analysis channel: standardized latent popularity score per photo.

@@ -1,7 +1,9 @@
 #include "trace/trace_generator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "trace/popularity_model.h"
@@ -9,6 +11,70 @@
 #include "util/alias_table.h"
 
 namespace otac {
+
+namespace {
+
+/// Largest horizon whose times fit the 31-bit time field of a sort key.
+constexpr std::int64_t kMaxHorizonSeconds = std::int64_t{1} << 31;
+
+/// Orders `requests` by (time, photo, terminal), pc before mobile: a total
+/// order on the request value, so the result is the same whichever correct
+/// sort produces it.
+///
+/// Precondition: `requests` is ordered by photo (generate() appends events
+/// photo by photo in ascending id) and every time is in [0, horizon_s).
+/// Two stable LSD counting passes on time then yield (time, photo) order,
+/// and one linear pass orders each run of equal (time, photo) by terminal.
+/// The scratch buffer holds packed `time << 33 | photo << 1 | terminal`
+/// keys: pass 1 scatters into it, pass 2 scatters back as Requests.
+void sort_requests(std::vector<Request>& requests, std::int64_t horizon_s) {
+  const auto time_bits = static_cast<unsigned>(
+      std::bit_width(static_cast<std::uint64_t>(horizon_s - 1)));
+  const unsigned lo_bits = time_bits / 2;
+  const std::uint64_t lo_mask = (std::uint64_t{1} << lo_bits) - 1;
+  std::vector<std::size_t> lo_start((std::size_t{1} << lo_bits) + 1, 0);
+  std::vector<std::size_t> hi_start(
+      (std::size_t{1} << (time_bits - lo_bits)) + 1, 0);
+  for (const Request& r : requests) {
+    const auto t = static_cast<std::uint64_t>(r.time.seconds);
+    ++lo_start[(t & lo_mask) + 1];
+    ++hi_start[(t >> lo_bits) + 1];
+  }
+  std::partial_sum(lo_start.begin(), lo_start.end(), lo_start.begin());
+  std::partial_sum(hi_start.begin(), hi_start.end(), hi_start.begin());
+
+  std::vector<std::uint64_t> keys(requests.size());
+  for (const Request& r : requests) {
+    const auto t = static_cast<std::uint64_t>(r.time.seconds);
+    keys[lo_start[t & lo_mask]++] = t << 33 |
+                                    static_cast<std::uint64_t>(r.photo) << 1 |
+                                    static_cast<std::uint64_t>(r.terminal);
+  }
+  for (const std::uint64_t key : keys) {
+    const std::uint64_t t = key >> 33;
+    Request& r = requests[hi_start[t >> lo_bits]++];
+    r.time = SimTime{static_cast<std::int64_t>(t)};
+    r.photo = static_cast<PhotoId>(key >> 1);
+    r.terminal = static_cast<TerminalType>(key & 1);
+  }
+
+  // Equal (time, photo) runs: pc first, then mobile.
+  const std::size_t n = requests.size();
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    std::size_t mobiles = 0;
+    for (end = begin; end < n && requests[end].time == requests[begin].time &&
+                      requests[end].photo == requests[begin].photo;
+         ++end) {
+      mobiles += requests[end].terminal == TerminalType::mobile;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      requests[i].terminal =
+          i < end - mobiles ? TerminalType::pc : TerminalType::mobile;
+    }
+  }
+}
+
+}  // namespace
 
 double Trace::total_request_bytes() const {
   double total = 0.0;
@@ -48,8 +114,12 @@ Trace TraceGenerator::generate() const {
   if (config.num_photos == 0 || config.num_owners == 0) {
     throw std::invalid_argument("TraceGenerator: empty population");
   }
-  if (config.horizon_days <= 0.0) {
+  const std::int64_t horizon_s = from_days(config.horizon_days).seconds;
+  if (horizon_s < 1) {
     throw std::invalid_argument("TraceGenerator: horizon must be positive");
+  }
+  if (horizon_s > kMaxHorizonSeconds) {
+    throw std::invalid_argument("TraceGenerator: horizon exceeds 2^31 s");
   }
 
   Rng master{config.seed};
@@ -60,8 +130,7 @@ Trace TraceGenerator::generate() const {
 
   Trace trace;
   trace.config = config;
-  trace.horizon = from_days(config.horizon_days);
-  const std::int64_t horizon_s = trace.horizon.seconds;
+  trace.horizon = SimTime{horizon_s};
 
   // --- 1. Owners -------------------------------------------------------------
   std::vector<OwnerMeta> owners = generate_owners(config, owner_rng);
@@ -155,12 +224,9 @@ Trace TraceGenerator::generate() const {
   }
 
   // --- 5. Sort -----------------------------------------------------------------------
-  std::sort(trace.requests.begin(), trace.requests.end(),
-            [](const Request& a, const Request& b) {
-              if (a.time.seconds != b.time.seconds)
-                return a.time.seconds < b.time.seconds;
-              return a.photo < b.photo;
-            });
+  // Step 4 appended the events photo by photo in ascending id, which is
+  // sort_requests' precondition.
+  sort_requests(trace.requests, horizon_s);
   return trace;
 }
 

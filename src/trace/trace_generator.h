@@ -10,9 +10,10 @@
 //                                    over each photo's access window
 //   4. access-time sampling       — truncated-Lomax day offsets, diurnal
 //                                    second-of-day, terminal type
-//   5. sort by time
+//   5. sort by (time, photo, terminal) — a linear-time counting sort
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "trace/trace.h"
@@ -35,6 +36,11 @@ struct AccessWindow {
                                          const PhotoCatalog& catalog,
                                          ThreadPool& pool);
 
+/// Revision of generate()'s output for a fixed config. Bump it with every
+/// change to the bytes generate() produces: on-disk trace caches key on it
+/// (experiments/workloads.h). 2: requests ordered by (time, photo, terminal).
+inline constexpr std::uint32_t kTraceGeneratorRevision = 2;
+
 class TraceGenerator {
  public:
   explicit TraceGenerator(WorkloadConfig config) : config_(std::move(config)) {}
@@ -42,6 +48,7 @@ class TraceGenerator {
   /// Generate the full trace. Deterministic for a fixed config (including
   /// config.seed); independent of platform and thread count. The
   /// calibration steps run on a hardware-sized pool owned by the call.
+  /// Requests come out ordered by (time, photo, terminal).
   [[nodiscard]] Trace generate() const;
 
   [[nodiscard]] const WorkloadConfig& config() const noexcept { return config_; }

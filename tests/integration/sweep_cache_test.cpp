@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "experiments/capacity_sweep.h"
 #include "experiments/workloads.h"
@@ -108,6 +114,70 @@ TEST_F(SweepCacheFixture, TraceCacheRoundTrips) {
     ASSERT_EQ(second.requests[i].photo, first.requests[i].photo);
     ASSERT_EQ(second.requests[i].time.seconds, first.requests[i].time.seconds);
   }
+}
+
+TEST_F(SweepCacheFixture, TraceCacheIsKeyedOnEveryFieldAndTheRevision) {
+  const WorkloadConfig base = bench_workload_config(0.05, 9);
+  const auto nudge = [](double& v) {
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+  };
+  std::vector<std::function<void(WorkloadConfig&)>> edits = {
+      [](WorkloadConfig& c) { c.seed += 1; },
+      [](WorkloadConfig& c) { c.num_owners += 1; },
+      [](WorkloadConfig& c) { c.num_photos += 1; },
+      [&](WorkloadConfig& c) { nudge(c.horizon_days); },
+      [&](WorkloadConfig& c) { nudge(c.backlog_days); },
+      [&](WorkloadConfig& c) { nudge(c.one_time_object_fraction); },
+      [&](WorkloadConfig& c) { nudge(c.one_time_access_share); },
+      [](WorkloadConfig& c) { c.max_accesses_per_photo += 1; },
+      [&](WorkloadConfig& c) { nudge(c.owner_activity_sigma); },
+      [&](WorkloadConfig& c) { nudge(c.friends_activity_coupling); },
+      [&](WorkloadConfig& c) { nudge(c.mean_active_friends); },
+      [&](WorkloadConfig& c) { nudge(c.owner_quality_sigma); },
+      [&](WorkloadConfig& c) { nudge(c.weight_owner_quality); },
+      [&](WorkloadConfig& c) { nudge(c.weight_type); },
+      [&](WorkloadConfig& c) { nudge(c.weight_upload_hour); },
+      [&](WorkloadConfig& c) { nudge(c.weight_noise); },
+      [&](WorkloadConfig& c) { nudge(c.weight_window_mass); },
+      [&](WorkloadConfig& c) { nudge(c.sigmoid_tau); },
+      [&](WorkloadConfig& c) { nudge(c.count_tail_alpha); },
+      [&](WorkloadConfig& c) { nudge(c.count_score_beta); },
+      [](WorkloadConfig& c) { c.type_popularity_rotation_days += 1; },
+      [&](WorkloadConfig& c) { nudge(c.decay_shape); },
+      [&](WorkloadConfig& c) { nudge(c.decay_scale_days); },
+      [&](WorkloadConfig& c) { nudge(c.mobile_share); },
+      [&](WorkloadConfig& c) { nudge(c.diurnal.trough_hour); },
+      [&](WorkloadConfig& c) { nudge(c.diurnal.peak_hour); },
+      [&](WorkloadConfig& c) { nudge(c.diurnal.peak_to_trough); },
+      [&](WorkloadConfig& c) { nudge(c.png_size_factor); },
+      [&](WorkloadConfig& c) { nudge(c.size_sigma); },
+  };
+  for (std::size_t i = 0; i < base.type_mix.size(); ++i) {
+    edits.push_back([&, i](WorkloadConfig& c) { nudge(c.type_mix[i]); });
+    edits.push_back(
+        [&, i](WorkloadConfig& c) { nudge(c.type_popularity[i]); });
+  }
+  for (std::size_t i = 0; i < base.resolution_size_bytes.size(); ++i) {
+    edits.push_back(
+        [&, i](WorkloadConfig& c) { nudge(c.resolution_size_bytes[i]); });
+  }
+
+  std::set<std::string> names = {bench_trace_cache_name(base)};
+  for (std::size_t e = 0; e < edits.size(); ++e) {
+    WorkloadConfig edited = base;
+    edits[e](edited);
+    EXPECT_TRUE(names.insert(bench_trace_cache_name(edited)).second)
+        << "edit " << e << " kept a cache entry";
+  }
+  EXPECT_TRUE(names
+                  .insert(bench_trace_cache_name(
+                      base, kTraceGeneratorRevision + 1))
+                  .second)
+      << "a new generator revision kept the cache entry";
+
+  // load_bench_trace stores its trace under exactly this name.
+  (void)load_bench_trace(0.05, 9);
+  EXPECT_TRUE(std::filesystem::exists(dir_ / bench_trace_cache_name(base)));
 }
 
 }  // namespace

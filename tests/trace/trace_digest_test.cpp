@@ -1,10 +1,15 @@
-// Bit-for-bit pins of the synthesized trace. The digests and calibration
-// doubles below were recorded from the serial calibration code; the
-// parallel calibration must reproduce them exactly, on any pool size.
+// Bit-for-bit pins of the synthesized trace. The latent-score and catalog
+// digests and the calibration doubles were recorded from the serial
+// calibration code; the parallel calibration must reproduce them exactly,
+// on any pool size. The request digests were recorded when the requests
+// took the total (time, photo, terminal) order, which any correct sort
+// reproduces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "experiments/workloads.h"
@@ -66,12 +71,12 @@ WorkloadConfig test_config() {
 const std::vector<Pinned>& pinned() {
   static const std::vector<Pinned> cases = {
       {"60k photos, seed 42", test_config(), 237300,
-       {0xc8ab76d0f9c2e6c4, 0x3705425be407af21, 0x3518ee12cf49abf4},
+       {0x121177d21aa2277c, 0x3705425be407af21, 0x3518ee12cf49abf4},
        0x3fe358ef0816d356,   // 0x1.358ef0816d356p-1
        0x3fb5924062ccf216},  // 0x1.5924062ccf216p-4
       {"bench_workload_config(0.25, 7)", bench_workload_config(0.25, 7),
        395498,
-       {0x62bcb22f73d3ac4c, 0xf25af5fd65419ce3, 0x4dc82b5dfabec4ac},
+       {0x67a7b56a7f04f5b0, 0xf25af5fd65419ce3, 0x4dc82b5dfabec4ac},
        0x3fe35a0bc4ca8a06,   // 0x1.35a0bc4ca8a06p-1
        0x3fb591bca5ef9b86},  // 0x1.591bca5ef9b86p-4
   };
@@ -109,6 +114,49 @@ TEST(TraceDigest, GeneratedTraceIsPinned) {
     EXPECT_EQ(d.requests, p.digest.requests) << p.name;
     EXPECT_EQ(d.latent_score, p.digest.latent_score) << p.name;
     EXPECT_EQ(d.catalog, p.digest.catalog) << p.name;
+  }
+}
+
+bool same_time_and_photo(const Request& a, const Request& b) {
+  return a.time == b.time && a.photo == b.photo;
+}
+
+TEST(TraceDigest, RequestsFollowTheTotalOrder) {
+  // A short horizon over few photos piles many accesses onto one second
+  // (and onto the clamped last second), forcing (time, photo) ties.
+  WorkloadConfig ties = test_config();
+  ties.num_owners = 50;
+  ties.num_photos = 500;
+  ties.horizon_days = 0.01;
+  ties.backlog_days = 0.0;
+  const Trace tie_trace = TraceGenerator{ties}.generate();
+
+  std::vector<std::pair<const char*, const Trace*>> cases;
+  for (std::size_t c = 0; c < pinned().size(); ++c) {
+    cases.emplace_back(pinned()[c].name, &trace_of(c));
+  }
+  cases.emplace_back("short horizon, 500 photos", &tie_trace);
+
+  for (const auto& [name, trace] : cases) {
+    std::vector<Request> expected = trace->requests;
+    std::sort(expected.begin(), expected.end(),
+              [](const Request& a, const Request& b) {
+                return std::tuple{a.time, a.photo, a.terminal} <
+                       std::tuple{b.time, b.photo, b.terminal};
+              });
+    std::size_t mismatches = 0;
+    std::size_t mixed_tie_runs = 0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const Request& got = trace->requests[i];
+      mismatches += !same_time_and_photo(got, expected[i]) ||
+                    got.terminal != expected[i].terminal;
+      // Sorted, so a run holds both terminals exactly where pc meets mobile.
+      mixed_tie_runs += i > 0 && same_time_and_photo(expected[i - 1],
+                                                     expected[i]) &&
+                        expected[i - 1].terminal != expected[i].terminal;
+    }
+    EXPECT_EQ(mismatches, 0U) << name;
+    EXPECT_GT(mixed_tie_runs, 0U) << name << ": no tie to order";
   }
 }
 
