@@ -6,8 +6,6 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/classifier_system.h"
-#include "cachesim/simulator.h"
 
 int main() {
   using namespace otac;
@@ -20,26 +18,20 @@ int main() {
   const IntelligentCache system{ctx.trace};
   const std::uint64_t capacity =
       map_paper_gb(6.0, system.total_object_bytes());
-  const CriteriaResult criteria = compute_criteria(
-      ctx.trace, system.oracle(), capacity,
-      system.estimate_hit_rate(capacity));
-
   TablePrinter table{{"factor", "entries", "rectified", "hit rate",
                       "SSD writes", "rejected"}};
   for (const double factor : {0.0, 0.01, 0.05, 0.2, 1.0}) {
-    ClassifierSystemConfig cs;
-    cs.ota.history_table_factor = factor;
-    cs.m = criteria.m;
-    cs.h = criteria.h;
-    cs.p = criteria.p;
-    cs.cost_v = system.cost_v_for(capacity, cs.ota);
-    ClassifierSystem admission{ctx.trace, system.oracle(), cs};
-    const auto policy = make_policy(PolicyKind::lru, capacity);
-    Simulator sim{ctx.trace};
-    const CacheStats stats = sim.run(*policy, admission);
+    RunConfig config;
+    config.policy = PolicyKind::lru;
+    config.capacity_bytes = capacity;
+    config.mode = AdmissionMode::proposal;
+    config.ota.history_table_factor = factor;
+    const RunResult result = system.run(config);
+    const CacheStats& stats = result.stats;
     table.add_row({TablePrinter::fmt(factor, 2),
-                   std::to_string(admission.history().capacity()),
-                   std::to_string(admission.history().rectified_count()),
+                   std::to_string(result.history_capacity),
+                   std::to_string(
+                       result.obs.merged.counters.at("history.rectified")),
                    TablePrinter::fmt(stats.file_hit_rate(), 4),
                    std::to_string(stats.insertions),
                    std::to_string(stats.rejected)});

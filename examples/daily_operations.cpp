@@ -8,17 +8,12 @@
 // (corrupt generations fall back previous -> cold start), and the final
 // classifier state is persisted crash-safely on exit — rerun the binary to
 // see day 0 start warm with the previous run's tree.
-#include <fstream>
 #include <iostream>
 #include <optional>
 
-#include "cachesim/simulator.h"
 #include "core/checkpoint.h"
-#include "core/classifier_system.h"
-#include "core/ota_criteria.h"
-#include "core/run_metrics.h"
+#include "core/shard_engine.h"
 #include "obs/report.h"
-#include "storage/latency_model.h"
 #include "trace/trace_generator.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -31,52 +26,40 @@ int main(int argc, char** argv) {
       flags.get("checkpoint-dir", std::string{});
   const std::string metrics_out = flags.get("metrics-out", std::string{});
 
-  // One registry observes the whole walkthrough: serving counters, fit
-  // timings, checkpoint durability telemetry, and the simulated latency
-  // distribution all land here and are exported at the end.
-  obs::MetricsRegistry registry;
-
   WorkloadConfig workload;
   workload.seed = 11;
   workload.num_owners = 3'000;
   workload.num_photos = 60'000;
   const Trace trace = TraceGenerator{workload}.generate();
-  const NextAccessInfo oracle = compute_next_access(trace);
+  const IntelligentCache system{trace};
 
-  // Criteria for a cache of ~1.5% of the dataset.
+  // A cache of ~1.5% of the dataset; the engine derives the criteria from
+  // a plain-LRU hit-rate estimate at that capacity.
   double dataset_bytes = 0.0;
   for (const auto& photo : trace.catalog.photos()) {
     dataset_bytes += photo.size_bytes;
   }
-  const auto capacity = static_cast<std::uint64_t>(dataset_bytes * 0.015);
+  RunConfig config;
+  config.policy = PolicyKind::lru;
+  config.capacity_bytes = static_cast<std::uint64_t>(dataset_bytes * 0.015);
+  config.mode = AdmissionMode::proposal;
+  ShardEngine engine{system, config};
 
-  // Quick hit-rate estimate with a plain LRU pass.
-  const auto estimator = make_policy(PolicyKind::lru, capacity);
-  AlwaysAdmit always;
-  Simulator estimate_sim{trace};
-  const double h = estimate_sim.run(*estimator, always).file_hit_rate();
-
-  const CriteriaResult criteria =
-      compute_criteria(trace, oracle, capacity, h);
+  const RunResult setup = engine.totals();
+  const CriteriaResult& criteria = setup.criteria;
   std::cout << "criteria: M = " << TablePrinter::fmt(criteria.m, 0)
             << " requests  (h=" << TablePrinter::fmt(criteria.h, 3)
             << ", p=" << TablePrinter::fmt(criteria.p, 3)
             << ", mean photo = "
             << TablePrinter::fmt(criteria.mean_size / 1024.0, 1) << " KB)\n\n";
-
-  ClassifierSystemConfig cs_config;
-  cs_config.m = criteria.m;
-  cs_config.h = criteria.h;
-  cs_config.p = criteria.p;
-  ClassifierSystem classifier{trace, oracle, cs_config};
-  classifier.bind_metrics(registry);
-  std::cout << "history table capacity: " << classifier.history().capacity()
+  std::cout << "history table capacity: " << setup.history_capacity
             << " entries (M(1-h)p x 0.05)\n\n";
 
+  // Checkpoint durability telemetry lands in the engine's report.
   std::optional<CheckpointManager> manager;
   if (!checkpoint_dir.empty()) {
     manager.emplace(checkpoint_dir);
-    manager->bind_metrics(registry);
+    manager->bind_metrics(engine.global_registry());
   }
 
   if (manager) {
@@ -89,7 +72,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
     if (loaded.origin != CheckpointOrigin::none) {
-      const bool model_ok = classifier.restore(loaded.snapshot);
+      const bool model_ok = engine.restore(loaded.snapshot);
       std::cout << "  restored: " << loaded.snapshot.samples.size()
                 << " trainer samples, " << loaded.snapshot.history.size()
                 << " history entries, "
@@ -106,25 +89,14 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  const auto policy = make_policy(PolicyKind::lru, capacity);
-  Simulator sim{trace};
-  sim.set_day_callback([](std::int64_t day, std::uint64_t index) {
-    std::cout << "--- day " << day << " begins at request " << index << "\n";
-  });
-  const LatencyModel latency{LatencyConfig{}};
-  obs::LatencyRecorder recorder{
-      registry.histogram(kLatencyHistogramName,
-                         LatencyModel::histogram_bounds_us()),
-      latency.request_latency_us(true, /*proposed=*/true),
-      latency.request_latency_us(false, /*proposed=*/true)};
-  sim.set_latency_recorder(&recorder);
-  const CacheStats stats = sim.run(*policy, classifier);
+  RunResult& result = engine.replay(1);
+  const CacheStats& stats = result.stats;
 
-  std::cout << "\nper-day classifier quality (raw tree vs after history "
+  std::cout << "per-day classifier quality (raw tree vs after history "
                "table):\n";
   TablePrinter table{{"day", "precision", "recall", "accuracy",
                       "accuracy (corrected)"}};
-  for (const DayClassifierMetrics& day : classifier.daily_metrics()) {
+  for (const DayClassifierMetrics& day : result.daily) {
     table.add_row({std::to_string(day.day),
                    TablePrinter::fmt(day.raw.precision(), 3),
                    TablePrinter::fmt(day.raw.recall(), 3),
@@ -133,13 +105,14 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string() << "\n";
 
-  std::cout << "history table rectified "
-            << classifier.history().rectified_count()
-            << " misclassifications; " << classifier.trainings()
+  const ClassifierSnapshot final_state = engine.snapshot();
+  std::cout << "history table rectified " << final_state.history_rectified
+            << " misclassifications; " << result.trainings
             << " daily trainings ran\n\n";
   std::cout << "final decision tree:\n";
-  if (classifier.model() != nullptr) {
-    std::cout << classifier.model()->to_text(FeatureExtractor::feature_names());
+  if (!final_state.model_blob.empty()) {
+    std::cout << ml::DecisionTree::deserialize(final_state.model_blob)
+                     .to_text(FeatureExtractor::feature_names());
   }
 
   std::cout << "\ncache outcome: hit rate "
@@ -147,7 +120,7 @@ int main(int argc, char** argv) {
             << stats.insertions << " (" << stats.rejected
             << " misses bypassed the cache)\n";
 
-  const DegradationCounters& degraded = classifier.degradation();
+  const DegradationCounters& degraded = result.degradation;
   if (degraded.total() > 0) {
     std::cout << "serving degradations: " << degraded.retrain_failures
               << " retrain failures, " << degraded.rejected_models
@@ -158,7 +131,7 @@ int main(int argc, char** argv) {
 
   if (manager) {
     try {
-      manager->save(classifier.snapshot());
+      manager->save(final_state);
       std::cout << "checkpoint saved to " << manager->current_path() << "\n";
     } catch (const std::exception& error) {
       // A failed save must not fail the run — the previous generation is
@@ -169,31 +142,8 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_out.empty()) {
-    populate_cache_metrics(registry, stats);
-    populate_history_metrics(registry, classifier.history());
-    populate_degradation_metrics(registry, classifier.degradation());
-    registry.set("trainer.trainings",
-                 static_cast<std::uint64_t>(classifier.trainings()));
-
-    obs::RunReport report;
-    report.source = "daily_operations";
-    report.mode = "Proposal";
-    report.policy = policy_name(PolicyKind::lru);
-    report.shards = 1;
-    report.threads = 1;
-    report.merged = registry.snapshot();
-    report.per_shard.push_back(report.merged);
-    if (!trace.requests.empty()) {
-      report.timeline.push_back(
-          obs::BarrierSample{trace.requests.size() - 1,
-                             trace.requests.back().time.seconds,
-                             report.merged});
-    }
-    const double hit_rate = stats.file_hit_rate();
-    report.derived = derived_run_metrics(
-        stats, latency.mean_access_time_proposed_us(hit_rate));
-
-    const std::string failed = obs::write_report_files(report, metrics_out);
+    result.obs.source = "daily_operations";
+    const std::string failed = obs::write_report_files(result.obs, metrics_out);
     if (!failed.empty()) {
       std::cerr << "cannot open " << failed << "\n";
       return 1;

@@ -58,8 +58,7 @@ int run(const FlagParser& flags) {
            "  --mode M             original|proposal|ideal|bypass (proposal)\n"
            "  --capacity-frac F    cache size as fraction of dataset (0.015)\n"
            "  --paper-gb G         ...or as the paper's 2-20 GB axis value\n"
-           "  --shards N           partition photos across N shards (1 =\n"
-           "                       unsharded reference path)\n"
+           "  --shards N           partition photos across N shards (1)\n"
            "  --threads T          worker threads for the sharded replay\n"
            "                       (default: one per shard, capped by cores)\n"
            "  --export FILE        write the trace as CSV and exit\n"
@@ -140,16 +139,8 @@ int run(const FlagParser& flags) {
   }
   std::cout << "\n";
 
-  // shards=1 routes through the sharded layer too (it is bit-identical to
-  // IntelligentCache::run by construction and by test), but keeping the
-  // unsharded call here preserves the reference path end to end — unless a
-  // metrics report was requested, where the sharded layer's per-barrier
-  // time-series is the point.
-  const bool want_metrics = flags.has("metrics-out");
-  const RunResult result = config.shards > 1 || want_metrics
-                               ? ShardedCache{system}.run(config)
-                               : system.run(config);
-  if (want_metrics) {
+  const RunResult result = ShardedCache{system}.run(config);
+  if (flags.has("metrics-out")) {
     obs::RunReport report = result.obs;
     report.source = "otac_sim";
     const int status =

@@ -4,10 +4,7 @@
 // filtering at OC changes what the DC tier sees.
 #include <iostream>
 
-#include "cachesim/tiered.h"
-#include "core/classifier_system.h"
-#include "core/ota_criteria.h"
-#include "cachesim/simulator.h"
+#include "core/tiered.h"
 #include "trace/trace_generator.h"
 #include "util/table.h"
 
@@ -31,7 +28,7 @@ int main() {
   workload.num_owners = 3'000;
   workload.num_photos = 60'000;
   const Trace trace = TraceGenerator{workload}.generate();
-  const NextAccessInfo oracle = compute_next_access(trace);
+  const IntelligentCache system{trace};
 
   double dataset_bytes = 0.0;
   for (const auto& photo : trace.catalog.photos()) {
@@ -43,17 +40,6 @@ int main() {
             << dc_capacity / (1024 * 1024) << " MiB (datacenter), dataset "
             << static_cast<std::uint64_t>(dataset_bytes) / (1024 * 1024)
             << " MiB\n\n";
-
-  // Criteria per tier (each tier has its own C and h).
-  const auto criteria_for = [&](std::uint64_t capacity) {
-    const auto estimator = make_policy(PolicyKind::lru, capacity);
-    AlwaysAdmit always;
-    Simulator sim{trace};
-    const double h = sim.run(*estimator, always).file_hit_rate();
-    return compute_criteria(trace, oracle, capacity, h);
-  };
-  const CriteriaResult oc_criteria = criteria_for(oc_capacity);
-  const CriteriaResult dc_criteria = criteria_for(dc_capacity);
 
   const LatencyModel latency{};
   constexpr double kOcToDcRttUs = 10'000.0;  // 10 ms WAN round trip
@@ -68,35 +54,18 @@ int main() {
   TablePrinter table{{"deployment", "OC hit", "DC hit", "combined",
                       "OC writes", "DC writes", "latency (us)"}};
   for (const Scenario& scenario : scenarios) {
-    const auto oc = make_policy(PolicyKind::lru, oc_capacity);
-    const auto dc = make_policy(PolicyKind::s3lru, dc_capacity);
-
-    AlwaysAdmit always_oc;
-    AlwaysAdmit always_dc;
-    ClassifierSystemConfig oc_cs;
-    oc_cs.m = oc_criteria.m;
-    oc_cs.h = oc_criteria.h;
-    oc_cs.p = oc_criteria.p;
-    oc_cs.collect_daily_metrics = false;
-    ClassifierSystemConfig dc_cs;
-    dc_cs.m = dc_criteria.m;
-    dc_cs.h = dc_criteria.h;
-    dc_cs.p = dc_criteria.p;
-    dc_cs.collect_daily_metrics = false;
-    ClassifierSystem oc_classifier{trace, oracle, oc_cs};
-    ClassifierSystem dc_classifier{trace, oracle, dc_cs};
-
-    AdmissionPolicy& oc_admission =
-        scenario.classify_oc ? static_cast<AdmissionPolicy&>(oc_classifier)
-                             : always_oc;
-    AdmissionPolicy& dc_admission =
-        scenario.classify_dc ? static_cast<AdmissionPolicy&>(dc_classifier)
-                             : always_dc;
-
-    TieredSimulator sim{trace};
-    sim.set_oracle(oracle);
-    const TieredStats stats =
-        sim.run(*oc, oc_admission, *dc, dc_admission);
+    // Each tier's engine computes its own criteria (C and h) and cost v.
+    RunConfig oc;
+    oc.policy = PolicyKind::lru;
+    oc.capacity_bytes = oc_capacity;
+    oc.mode = scenario.classify_oc ? AdmissionMode::proposal
+                                   : AdmissionMode::original;
+    RunConfig dc;
+    dc.policy = PolicyKind::s3lru;
+    dc.capacity_bytes = dc_capacity;
+    dc.mode = scenario.classify_dc ? AdmissionMode::proposal
+                                   : AdmissionMode::original;
+    const TieredStats stats = run_tiered(system, oc, dc);
 
     table.add_row(
         {scenario.label, TablePrinter::fmt(stats.oc.file_hit_rate(), 4),

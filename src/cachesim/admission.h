@@ -1,10 +1,11 @@
-// Cache-admission interface — where the paper's contribution plugs in.
+// Cache-admission interface of the trace simulator (cachesim/simulator.h).
 //
 // On every miss the simulator asks the admission policy whether the object
 // should be written to the SSD cache; after each request (hit or miss) it
-// lets the policy observe the access so stateful admissions (the ML
-// classification system, core/classifier_system.h) can maintain online
-// features and their history table.
+// lets the policy observe the access, so a stateful admission can keep
+// online state. The paper's ML admission does not plug in here: it runs
+// inside the serving engine (core/shard_engine.h), which serves the
+// Original, Bypass and Ideal modes too.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,7 @@
 #include <stdexcept>
 
 #include "cachesim/lru_estimate.h"
-#include "cachesim/simulator.h"
-#include "core/run_metrics.h"
+#include "core/shard_engine.h"
 #include "util/thread_pool.h"
 
 namespace otac {
@@ -81,90 +80,10 @@ double IntelligentCache::mean_latency_us(const RunConfig& config,
 }
 
 RunResult IntelligentCache::run(const RunConfig& config) const {
-  if (config.capacity_bytes == 0) {
-    throw std::invalid_argument("IntelligentCache: zero capacity");
-  }
-  RunResult result;
-  const auto policy = make_policy(config.policy, config.capacity_bytes,
-                                  config.lirs_lir_fraction);
-  Simulator sim{*trace_};
-  sim.set_oracle(oracle_);
-
-  // Observability: one registry for the whole (single-stream) run. The
-  // latency recorder resolves its two bucket indices up front, so the
-  // per-request cost in the simulator loop is a single bucket increment.
-  const LatencyModel latency{config.latency};
-  const bool classified_path = classifies(config.mode);
-  obs::MetricsRegistry registry;
-  obs::LatencyRecorder recorder{
-      registry.histogram(kLatencyHistogramName,
-                         LatencyModel::histogram_bounds_us()),
-      latency.request_latency_us(true, classified_path),
-      latency.request_latency_us(false, classified_path)};
-  sim.set_latency_recorder(&recorder);
-
-  fill_criteria(config, result);
-
-  switch (config.mode) {
-    case AdmissionMode::original: {
-      AlwaysAdmit admission;
-      result.stats = sim.run(*policy, admission);
-      break;
-    }
-    case AdmissionMode::bypass: {
-      NeverAdmit admission;
-      result.stats = sim.run(*policy, admission);
-      break;
-    }
-    case AdmissionMode::ideal: {
-      OracleAdmission admission{oracle_, result.criteria.m};
-      result.stats = sim.run(*policy, admission);
-      break;
-    }
-    case AdmissionMode::proposal: {
-      ClassifierSystemConfig cs;
-      cs.ota = config.ota;
-      cs.m = result.criteria.m;
-      cs.h = result.criteria.h;
-      cs.p = result.criteria.p;
-      cs.cost_v = result.cost_v;
-      ClassifierSystem admission{*trace_, oracle_, cs};
-      admission.bind_metrics(registry);
-      result.history_capacity = admission.history().capacity();
-      result.stats = sim.run(*policy, admission);
-      result.daily = admission.daily_metrics();
-      result.trainings = admission.trainings();
-      result.degradation = admission.degradation();
-      registry.set("trainer.trainings",
-                   static_cast<std::uint64_t>(result.trainings));
-      populate_history_metrics(registry, admission.history());
-      populate_degradation_metrics(registry, result.degradation);
-      break;
-    }
-  }
-
-  result.mean_latency_us =
-      mean_latency_us(config, result.stats.file_hit_rate());
-
-  // Final (end-of-run) snapshot: the unsharded path is one shard by
-  // definition, so per_shard mirrors merged and the timeline has a single
-  // end-of-trace sample (ShardedCache adds one per retrain barrier).
-  populate_cache_metrics(registry, result.stats);
-  result.obs.mode = admission_mode_name(config.mode);
-  result.obs.policy = policy_name(config.policy);
-  result.obs.shards = 1;
-  result.obs.threads = 1;
-  result.obs.merged = registry.snapshot();
-  result.obs.per_shard.push_back(result.obs.merged);
-  if (!trace_->requests.empty()) {
-    result.obs.timeline.push_back(
-        obs::BarrierSample{trace_->requests.size() - 1,
-                           trace_->requests.back().time.seconds,
-                           result.obs.merged});
-  }
-  result.obs.derived =
-      derived_run_metrics(result.stats, result.mean_latency_us);
-  return result;
+  RunConfig one = config;
+  one.shards = 1;
+  ShardEngine engine{*this, one};
+  return std::move(engine.replay(1));
 }
 
 }  // namespace otac

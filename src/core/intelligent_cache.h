@@ -6,7 +6,8 @@
 //
 // Handles the whole §4 recipe: next-access oracle, hit-rate estimation for
 // the criteria, M fixpoint (LIRS-adjusted), cost matrix v by capacity,
-// history-table sizing, daily retraining, and Eq. 3 latency.
+// history-table sizing, daily retraining, and Eq. 3 latency. run() serves
+// through the one serving engine (core/shard_engine.h) at one shard.
 #pragma once
 
 #include <memory>
@@ -16,10 +17,10 @@
 
 #include "cachesim/cache_stats.h"
 #include "cachesim/cache_policy.h"
-#include "core/classifier_system.h"
 #include "core/config.h"
 #include "core/ota_criteria.h"
 #include "core/resilience.h"
+#include "core/serving_core.h"
 #include "obs/report.h"
 #include "storage/latency_model.h"
 #include "trace/next_access.h"
@@ -50,16 +51,18 @@ struct RunConfig {
 
   // --- Sharded serving layer (core/sharded_cache.h) ------------------------
   /// Number of independent keyspace shards. IntelligentCache::run ignores
-  /// these (it is the shards=1 reference path); ShardedCache::run
-  /// partitions photos across `shards` and replays them on `threads`
-  /// workers (0 = one thread per shard, capped by the hardware).
+  /// these (it always serves one shard on the calling thread);
+  /// ShardedCache::run partitions photos across `shards` and replays them
+  /// on `threads` workers (0 = one thread per shard, capped by the
+  /// hardware).
   std::size_t shards = 1;
   std::size_t threads = 0;
 
   /// Overload-resilience layer (core/resilience.h): bounded shard queues
   /// with degradation states, the retrain watchdog, and storage retry.
   /// Every default keeps the replay bit-identical to a build without the
-  /// layer; only the sharded front ends (core/shard_engine.h) consume it.
+  /// layer; every front end consumes it through the serving engine
+  /// (core/shard_engine.h).
   ResilienceConfig resilience{};
 };
 
@@ -84,8 +87,8 @@ struct RunResult {
   obs::RunReport obs;
 
   /// Field-for-field equality over every simulation output (everything but
-  /// `obs`) — the determinism and shards=1 equivalence tests pin merged
-  /// results bit-identical, not merely approximately.
+  /// `obs`) — the determinism tests pin merged results bit-identical, not
+  /// merely approximately.
   friend bool operator==(const RunResult& a, const RunResult& b) {
     return a.stats == b.stats && a.criteria == b.criteria &&
            a.cost_v == b.cost_v && a.history_capacity == b.history_capacity &&

@@ -16,7 +16,7 @@
 // no release/acquire chain to the next writer's plain write — a data race
 // by the letter of the memory model, and ThreadSanitizer reports it as
 // such. Here every shared access is a std::atomic operation, so the slot is
-// provably clean under TSan (scripts/check_concurrency.sh is the gate, and
+// provably clean under TSan (`scripts/ci.sh concurrency` is the gate, and
 // tests/core/sharded_stress_test.cpp hammers concurrent load/store).
 //
 // Memory-ordering argument (the seqlock correctness proof, DESIGN.md §12):

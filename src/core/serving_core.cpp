@@ -50,7 +50,6 @@ ServingCore::ServingCore(const PhotoCatalog& catalog,
       oracle_(&oracle),
       arity_(config_.feature_subset.empty() ? FeatureExtractor::kFeatureCount
                                             : config_.feature_subset.size()),
-      projected_(config_.feature_subset.size(), 0.0F),
       full_rows_(kAdmissionBatchCapacity * FeatureExtractor::kFeatureCount,
                  0.0F),
       projected_rows_(config_.feature_subset.empty()
@@ -65,49 +64,6 @@ void ServingCore::bind_metrics(obs::MetricsRegistry& registry) {
   metrics_.rectified = registry.counter("serving.rectified");
   metrics_.history_recorded = registry.counter("serving.history_recorded");
   metrics_bound_ = true;
-}
-
-bool ServingCore::admit(const ml::CompiledTree* model, std::uint64_t index,
-                        const Request& request, const PhotoMeta& photo) {
-  if (model == nullptr) {
-    if constexpr (obs::kEnabled) {
-      if (metrics_bound_) ++*metrics_.no_model_admits;
-    }
-    return config_.admit_before_first_model;
-  }
-
-  extractor.extract(request, photo, scratch_);
-  bool predicted_one_time;
-  const std::vector<std::size_t>& subset = config_.feature_subset;
-  // Graceful degradation: a request whose features come out non-finite
-  // (corrupt catalog entry, clock skew) or whose prediction throws must
-  // fall back to plain admission — never crash the serving path, never
-  // feed garbage through the tree.
-  try {
-    if (subset.empty()) {
-      if (!all_finite(scratch_)) {
-        ++degradation.nonfinite_feature_requests;
-        return true;
-      }
-      predicted_one_time = model->predict(scratch_) == 1;
-    } else {
-      for (std::size_t k = 0; k < subset.size(); ++k) {
-        // .at(): a misconfigured subset index degrades via the catch below
-        // instead of reading out of bounds.
-        projected_[k] = scratch_.at(subset[k]);
-      }
-      if (!all_finite(projected_)) {
-        ++degradation.nonfinite_feature_requests;
-        return true;
-      }
-      predicted_one_time = model->predict(projected_) == 1;
-    }
-  } catch (const std::exception&) {
-    ++degradation.predict_failures;
-    return true;
-  }
-
-  return finish_admit(predicted_one_time, index, request);
 }
 
 bool ServingCore::finish_admit(bool predicted_one_time, std::uint64_t index,
@@ -135,17 +91,15 @@ bool ServingCore::finish_admit(bool predicted_one_time, std::uint64_t index,
     }
   }
 
-  if (config_.collect_daily_metrics) {
-    // Ground truth from the full oracle (evaluation only, never fed back
-    // into the model): one-time iff no reaccess within M.
-    const std::uint64_t next = oracle_->next[index];
-    const int actual = (next != kNoNextAccess &&
-                        static_cast<double>(next - index) <= config_.m)
-                           ? 0
-                           : 1;
-    record_metric(day_index(request.time), actual, predicted_one_time ? 1 : 0,
-                  final_one_time ? 1 : 0);
-  }
+  // Ground truth from the full oracle (evaluation only, never fed back into
+  // the model): one-time iff no reaccess within M.
+  const std::uint64_t next = oracle_->next[index];
+  const int actual =
+      (next != kNoNextAccess && static_cast<double>(next - index) <= config_.m)
+          ? 0
+          : 1;
+  record_metric(day_index(request.time), actual, predicted_one_time ? 1 : 0,
+                final_one_time ? 1 : 0);
   return !final_one_time;
 }
 
@@ -161,11 +115,10 @@ std::span<const float> ServingCore::stage(const Request& request,
   // so observing first is safe.
   extractor.extract_and_observe(request, photo, full_row);
 
-  // Record the scalar path's *first* degradation check here: a subset
-  // index out of range (scalar: .at() throws -> predict_failures). The
-  // finiteness sweep is deferred to admit_staged() — degradation counters
-  // only ever move on misses, so sweeping per-miss instead of per-request
-  // is observably identical and skips the work for every hit.
+  // The first degradation check happens here: a subset index out of range
+  // marks the row for a predict failure. The finiteness sweep is deferred
+  // to admit_staged() — degradation counters only ever move on misses, so
+  // sweeping per miss skips the work for every hit.
   const std::vector<std::size_t>& subset = config_.feature_subset;
   StageStatus status = StageStatus::ok;
   if (!subset.empty()) {
@@ -190,18 +143,17 @@ void ServingCore::classify_staged(const ml::CompiledTree* model) {
   if (model->required_arity() <= arity_) {
     // The hot path: one branch-free level-synchronous walk over the whole
     // micro-batch. Degraded and non-finite rows ride along (NaN routes
-    // right, same as the scalar `<=`; their probability is discarded by
-    // admit_staged) — cheaper than compacting.
+    // right; their probability is discarded by admit_staged) — cheaper
+    // than compacting.
     model->predict_proba_batch(rows, staged_, arity_, proba_.data());
     return;
   }
   // Defensive slow path: a model that reads features beyond the deployed
   // arity cannot take the unchecked batch walk. validate_serving_model
   // rejects such models before publication, so this only runs for
-  // hand-constructed slots; semantics match the scalar path exactly.
-  // Non-finite rows are skipped un-marked: the scalar path checks
-  // finiteness *before* predicting, so on a miss admit_staged's own
-  // finiteness check (not a predict failure) must claim them.
+  // hand-constructed slots. Finiteness is checked before predicting:
+  // non-finite rows are skipped un-marked, so on a miss admit_staged's
+  // own finiteness check (not a predict failure) claims them.
   for (std::size_t slot = 0; slot < staged_; ++slot) {
     if (status_[slot] != StageStatus::ok) continue;
     const std::span<const float> row{rows + slot * arity_, arity_};
@@ -224,11 +176,10 @@ bool ServingCore::admit_staged(std::size_t slot, std::uint64_t index,
     }
     return config_.admit_before_first_model;
   }
-  // Scalar degradation order, reproduced exactly: projection error first
-  // (stage() marked it; scalar .at() throws before the finiteness sweep),
-  // then the deferred finiteness check of the row the model saw, then a
-  // predict failure (classify_staged's fallback only marks finite rows,
-  // matching the scalar check-then-predict order).
+  // Degradation order: a projection error first (stage() marked it), then
+  // the deferred finiteness check of the row the model saw, then a predict
+  // failure (classify_staged's fallback only marks finite rows: check,
+  // then predict).
   if (status_[slot] == StageStatus::degrade_predict) {
     ++degradation.predict_failures;
     return true;
@@ -239,8 +190,8 @@ bool ServingCore::admit_staged(std::size_t slot, std::uint64_t index,
     ++degradation.nonfinite_feature_requests;
     return true;
   }
-  // float >= 0.5F iff double(float) >= 0.5: identical verdict to the
-  // scalar model->predict(...) == 1.
+  // float >= 0.5F iff double(float) >= 0.5: the tree's own predict()
+  // verdict.
   return finish_admit(proba_[slot] >= 0.5F, index, request);
 }
 
@@ -253,16 +204,6 @@ void ServingCore::record_metric(std::int64_t day, int actual,
   }
   daily.back().raw.add(actual, raw_prediction);
   daily.back().corrected.add(actual, corrected_prediction);
-}
-
-std::span<const float> ServingCore::extract(const Request& request,
-                                            const PhotoMeta& photo) {
-  extractor.extract(request, photo, scratch_);
-  return scratch_;
-}
-
-void ServingCore::observe(const Request& request, const PhotoMeta& photo) {
-  extractor.observe(request, photo);
 }
 
 }  // namespace otac

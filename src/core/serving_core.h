@@ -1,16 +1,12 @@
-// Per-stream serving half of the classification system (Fig. 4), split out
-// of ClassifierSystem so it can be instantiated once per shard by the
-// sharded serving engine (core/shard_engine.h) while the unsharded
-// ClassifierSystem keeps wrapping exactly the same code — that shared body
-// is what makes the shards=1 path bit-identical to the single-threaded
-// system by construction.
+// Per-stream serving half of the classification system (Fig. 4),
+// instantiated once per shard by the serving engine (core/shard_engine.h).
 //
 // A ServingCore owns everything that is private to one request stream:
 // online feature extractor, history table, per-day confusion metrics, and
 // the serving-path degradation counters. It does NOT own the model — the
-// caller passes the tree per admit() call, which is how the sharded layer
-// shares one read-mostly CART across shards (model-slot swap on retrain)
-// without the core knowing.
+// caller passes the tree per micro-batch, which is how the engine shares
+// one read-mostly CART across shards (model-slot swap on retrain) without
+// the core knowing.
 #pragma once
 
 #include <array>
@@ -99,9 +95,9 @@ struct DegradationCounters {
 };
 
 /// A model is servable iff it is fitted, matches the deployed feature
-/// arity, and yields a finite probability on a probe row. Shared by
-/// ClassifierSystem (daily retrain / checkpoint restore) and the sharded
-/// trainer (before an atomic model swap).
+/// arity, and yields a finite probability on a probe row. The engine
+/// checks it before every publish: after a retrain and on a checkpoint
+/// restore.
 [[nodiscard]] bool validate_serving_model(const ml::DecisionTree& tree,
                                           std::size_t expected_arity);
 
@@ -109,7 +105,6 @@ struct DegradationCounters {
 struct ServingConfig {
   std::vector<std::size_t> feature_subset;  // empty = all nine features
   double m = 0.0;                           // criteria threshold (§4.3)
-  bool collect_daily_metrics = true;
   bool admit_before_first_model = true;
 };
 
@@ -122,15 +117,7 @@ class ServingCore {
   ServingCore(const PhotoCatalog& catalog, const NextAccessInfo& oracle,
               ServingConfig config, std::size_t history_capacity);
 
-  /// Steps 4-7 of §4.2 against the given flattened model (nullptr = no
-  /// model yet): extract features, predict one-time vs not, rectify via
-  /// the history table, record daily metrics. Degrades to plain admission
-  /// on non-finite features or a throwing predict. The unsharded system
-  /// and the stress suite serve through this scalar entry point.
-  bool admit(const ml::CompiledTree* model, std::uint64_t index,
-             const Request& request, const PhotoMeta& photo);
-
-  // --- batched admission (the sharded proposal loop) -------------------
+  // --- batched admission: steps 4-7 of §4.2 --------------------------
   //
   // Per micro-batch (<= kAdmissionBatchCapacity requests, never crossing a
   // retrain barrier):
@@ -142,23 +129,23 @@ class ServingCore {
   //
   // stage() runs the model-independent half for *every* request — feature
   // extraction into a reusable arena (zero per-request allocation) and the
-  // observe() advance — and classify_staged() predicts every staged row in
-  // one branch-free predict_proba_batch call. Predictions depend only on
-  // extractor state (never on cache/history/policy state), so classifying
-  // ahead of the strictly sequential replay is safe: admit_staged() then
-  // consumes the precomputed probability only for rows that actually miss,
-  // and its observable behavior (decisions, degradation counters, daily
-  // metrics, history mutations) is identical to calling scalar admit() at
-  // the miss point. That equivalence is what preserves shards=1
-  // bit-identity with batching enabled.
+  // advance of the online feature state — and classify_staged() predicts
+  // every staged row in one branch-free predict_proba_batch call.
+  // Predictions depend only on extractor state (never on cache/history/
+  // policy state), so classifying ahead of the strictly sequential replay
+  // is safe: admit_staged() consumes the precomputed probability only for
+  // rows that actually miss, and decides each miss from the features of
+  // the stream *before* that request, exactly as a per-miss classifier
+  // would. Degradation counters, daily metrics and history mutations move
+  // only on misses.
 
   /// Reset the staging arena for a new micro-batch.
   void begin_batch() noexcept { staged_ = 0; }
 
   /// Extract this request's features into the arena (fused with the
-  /// observe() advance), recording subset projection errors. Returns the
-  /// full feature row (the training sample the caller may buffer); valid
-  /// until the next begin_batch().
+  /// advance of the online feature state), recording subset projection
+  /// errors. Returns the full feature row (the training sample the caller
+  /// may buffer); valid until the next begin_batch().
   std::span<const float> stage(const Request& request, const PhotoMeta& photo);
 
   /// Classify every staged row against `model` (nullptr = no model yet)
@@ -167,7 +154,11 @@ class ServingCore {
 
   /// Admission decision for staged row `slot` (stage() call order),
   /// consuming the probability computed by classify_staged(). Only called
-  /// for rows that miss; behavior matches scalar admit() exactly.
+  /// for rows that miss. No model: admit_before_first_model. A subset
+  /// index out of range counts a predict failure, a non-finite row a
+  /// non-finite-feature request; both admit (Flashield's rule). Otherwise
+  /// predict, rectify through the history table and record the day's
+  /// confusion.
   bool admit_staged(std::size_t slot, std::uint64_t index,
                     const Request& request, const PhotoMeta& photo);
 
@@ -180,14 +171,6 @@ class ServingCore {
     history.prefetch(request.photo);
   }
 
-  /// Features of this request given the state *before* it (the training
-  /// sample the caller may buffer). Valid until the next extract()/admit().
-  [[nodiscard]] std::span<const float> extract(const Request& request,
-                                               const PhotoMeta& photo);
-
-  /// Advance the online feature state by one (time-ordered) request.
-  void observe(const Request& request, const PhotoMeta& photo);
-
   /// Resolve admission-decision counters against `registry` (serving.*
   /// namespace). Handles are resolved once here; per-request cost is a
   /// plain increment, compiled out entirely under OTAC_OBS_OFF. The
@@ -198,16 +181,16 @@ class ServingCore {
     return config_;
   }
 
-  // Components, exposed for snapshotting (ClassifierSystem) and merging
-  // (ShardEngine): each instance is single-stream, so outside access is
-  // only valid when no admit/extract/observe is in flight.
+  // Components, exposed for snapshot/restore and merging (ShardEngine):
+  // each instance is single-stream, so outside access is only valid when
+  // no batch is in flight.
   FeatureExtractor extractor;
   HistoryTable history;
   std::vector<DayClassifierMetrics> daily;
   DegradationCounters degradation;
 
  private:
-  /// Shared tail of every admission decision: predict counters, history
+  /// Tail of a classified admission decision: predict counters, history
   /// rectify/record, daily confusion metrics. Returns the admit verdict.
   bool finish_admit(bool predicted_one_time, std::uint64_t index,
                     const Request& request);
@@ -229,9 +212,7 @@ class ServingCore {
 
   ServingConfig config_;
   const NextAccessInfo* oracle_;
-  std::array<float, FeatureExtractor::kFeatureCount> scratch_{};
-  std::size_t arity_;             // deployed arity (subset size, or all 9)
-  std::vector<float> projected_;  // scratch for the deployed feature subset
+  std::size_t arity_;  // deployed arity (subset size, or all 9)
 
   // Staging arena for the batched path — sized once at construction, so
   // the per-request cost is writes into preallocated rows. When the

@@ -14,6 +14,7 @@
 #include "ml/compiled_tree.h"
 #include "storage/latency_model.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace otac {
 
@@ -42,7 +43,8 @@ ShardEngine::ShardEngine(const IntelligentCache& system,
       trace_(&system.trace()),
       oracle_(&system.oracle()),
       config_(config),
-      is_proposal_(config.mode == AdmissionMode::proposal) {
+      is_proposal_(config.mode == AdmissionMode::proposal),
+      schedule_(config.ota) {
   if (config.capacity_bytes == 0) {
     throw std::invalid_argument("ShardEngine: zero capacity");
   }
@@ -57,7 +59,7 @@ ShardEngine::ShardEngine(const IntelligentCache& system,
   }
 
   // Criteria / cost are global properties of the trace and total capacity —
-  // shards share one M and one cost matrix, exactly as the unsharded system.
+  // shards share one M and one cost matrix.
   system.fill_criteria(config, result_);
 
   ServingConfig serving;
@@ -137,7 +139,7 @@ ShardEngine::ShardEngine(const IntelligentCache& system,
   samples_drained_ = global_registry_.counter("trainer.samples_drained");
   compiled_tree_swaps_ =
       global_registry_.counter("trainer.compiled_tree_swaps");
-  if (is_proposal_) triggers_ = retrain_trigger_indices(*trace_, config.ota);
+  if (is_proposal_) triggers_ = retrain_trigger_indices(*trace_, schedule_);
 }
 
 ShardEngine::~ShardEngine() = default;
@@ -187,8 +189,8 @@ void ShardEngine::serve_batch(std::size_t s, const std::uint64_t* indices,
   // predicting at each miss. Degraded and shed rows skip the ML half.
   if (is_proposal_) {
     // One seqlock load per published generation: the model is constant
-    // between barriers, which matches the unsharded visibility rule (a
-    // retrain inside observe(i) serves requests from i+1 on).
+    // between barriers (a model trained at trigger i serves requests from
+    // i+1 on).
     const std::uint64_t generation =
         generation_.load(std::memory_order_acquire);
     if (generation != shard.generation) {
@@ -330,8 +332,9 @@ void ShardEngine::barrier(std::uint64_t trigger) {
             });
   *samples_drained_ += drained.size();
   const SimTime time = trace_->requests[trigger].time;
+  (void)schedule_.due(time);  // the trigger is due by construction
   const auto fit_started = std::chrono::steady_clock::now();
-  const RetrainOutcome outcome =
+  RetrainOutcome outcome =
       watchdog_->retrain(std::move(drained), trigger, time);
   trainer_degradation_.retrain_retries +=
       static_cast<std::uint64_t>(outcome.retries);
@@ -352,6 +355,7 @@ void ShardEngine::barrier(std::uint64_t trigger) {
       }
       model_.store(compiled);
       generation_.fetch_add(1, std::memory_order_release);
+      model_tree_ = std::move(outcome.tree);
       ++result_.trainings;
       ++*models_published_;
       ++*compiled_tree_swaps_;
@@ -453,6 +457,120 @@ RunResult& ShardEngine::finish(std::size_t threads) {
   report.derived =
       derived_run_metrics(result_.stats, result_.mean_latency_us);
   return result_;
+}
+
+RunResult& ShardEngine::replay(std::size_t threads) {
+  const Trace& trace = *trace_;
+  const std::size_t shards = shards_.size();
+
+  // Keyspace partition, materialized as per-shard index lists so each
+  // worker walks a dense array instead of filtering the whole trace.
+  std::vector<std::vector<std::uint64_t>> shard_requests(shards);
+  for (std::uint64_t i = 0; i < trace.requests.size(); ++i) {
+    shard_requests[shard_of_photo(trace.requests[i].photo, shards)]
+        // Cold: one-time shard bucketing before the replay loop.
+        // otac-lint: allow(hotpath-alloc)
+        .push_back(i);
+  }
+  std::vector<std::size_t> cursor(shards, 0);
+  ThreadPool pool{threads};
+
+  // Bulk-synchronous epochs: every shard serves its requests up to the
+  // next retrain trigger, then the barrier retrains and publishes.
+  // Batches never cross an epoch, so batch boundaries depend only on the
+  // trace and the schedule.
+  const std::uint64_t total_requests = trace.requests.size();
+  std::uint64_t epoch_begin = 0;
+  std::size_t next_trigger = 0;
+  while (epoch_begin < total_requests) {
+    const bool has_trigger = next_trigger < triggers_.size();
+    const std::uint64_t epoch_end =
+        has_trigger ? triggers_[next_trigger] + 1 : total_requests;
+    pool.parallel_for(shards, [&](std::size_t s) {
+      const std::vector<std::uint64_t>& mine = shard_requests[s];
+      std::size_t& pos = cursor[s];
+      constexpr std::size_t kBatch = ServingCore::kAdmissionBatchCapacity;
+      std::array<RowOutcome, kBatch> outcomes;
+      while (pos < mine.size() && mine[pos] < epoch_end) {
+        std::size_t batch = 1;
+        while (batch < kBatch && pos + batch < mine.size() &&
+               mine[pos + batch] < epoch_end) {
+          ++batch;
+        }
+        serve_batch(s, mine.data() + pos, batch, outcomes.data());
+        pos += batch;
+      }
+    });
+    if (has_trigger) barrier(triggers_[next_trigger++]);
+    epoch_begin = epoch_end;
+  }
+  return finish(threads);
+}
+
+ClassifierSnapshot ShardEngine::snapshot() const {
+  if (shards_.size() != 1 || !is_proposal_) {
+    throw std::invalid_argument(
+        "ShardEngine::snapshot: needs one shard in proposal mode");
+  }
+  const Shard& shard = shards_[0];
+  ClassifierSnapshot snap;
+  snap.m = result_.criteria.m;
+  snap.h = result_.criteria.h;
+  snap.p = result_.criteria.p;
+  snap.cost_v = result_.cost_v;
+  if (model_tree_) snap.model_blob = model_tree_->serialize();
+  snap.history = shard.core->history.entries();
+  snap.history_rectified = shard.core->history.rectified_count();
+  // The trainer's reservoir, then the samples buffered since the last
+  // barrier: one trace-ordered stream, as an unsharded trainer holds it.
+  const std::deque<TrainingSample>& kept = trainer_->samples();
+  const std::deque<TrainingSample>& buffered = shard.sampler->samples();
+  snap.samples.assign(kept.begin(), kept.end());
+  snap.samples.insert(snap.samples.end(), buffered.begin(), buffered.end());
+  snap.trainer_minute = shard.sampler->current_minute();
+  snap.trainer_minute_count = shard.sampler->minute_count();
+  snap.last_trained_day = schedule_.last_trained_day();
+  snap.last_trained_time = schedule_.last_trained_time();
+  snap.trainings = result_.trainings;
+  return snap;
+}
+
+bool ShardEngine::restore(const ClassifierSnapshot& snapshot) {
+  if (shards_.size() != 1 || !is_proposal_ ||
+      generation_.load(std::memory_order_acquire) != 0) {
+    throw std::invalid_argument(
+        "ShardEngine::restore: needs one shard in proposal mode, before "
+        "any barrier");
+  }
+  Shard& shard = shards_[0];
+  shard.core->history.restore(snapshot.history, snapshot.history_rectified);
+  trainer_->restore({snapshot.samples.begin(), snapshot.samples.end()},
+                    snapshot.trainer_minute, snapshot.trainer_minute_count);
+  shard.sampler->restore({}, snapshot.trainer_minute,
+                         snapshot.trainer_minute_count);
+  schedule_.restore(snapshot.last_trained_day, snapshot.last_trained_time);
+  triggers_ = retrain_trigger_indices(*trace_, schedule_);
+  result_.trainings = snapshot.trainings;
+
+  if (snapshot.model_blob.empty()) return true;  // admit-all until a retrain
+  // Flashield's rule: a model that cannot be served safely is dropped, and
+  // the engine serves admit-all instead.
+  try {
+    ml::DecisionTree tree = ml::DecisionTree::deserialize(snapshot.model_blob);
+    if (validate_serving_model(tree, model_arity_)) {
+      const ml::CompiledTree compiled = ml::CompiledTree::compile(tree);
+      if (ModelSlot::fits(compiled)) {
+        model_.store(compiled);
+        generation_.fetch_add(1, std::memory_order_release);
+        model_tree_ = std::move(tree);
+        return true;
+      }
+    }
+  } catch (const std::exception&) {
+    // Undecodable blob: rejected below.
+  }
+  ++trainer_degradation_.rejected_models;
+  return false;
 }
 
 void ShardEngine::populate_registries() {

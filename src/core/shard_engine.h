@@ -1,16 +1,18 @@
-// The one serving engine under every sharded front end: ShardedCache::run
-// (core/sharded_cache.h) drives it from per-shard trace-index lists, and
-// the otacd daemon (net/daemon.h) drives it from per-shard inbound
-// queues. Both therefore serve, retrain and report through the same code,
-// which is what keeps a loopback daemon run bit-identical to the
-// in-process replay.
+// The one serving engine under every front end: IntelligentCache::run
+// (core/intelligent_cache.h) and ShardedCache::run (core/sharded_cache.h)
+// call replay(), the two-tier replay (core/tiered.h) drives two
+// single-shard engines, and the otacd daemon (net/daemon.h) drives it from
+// per-shard inbound queues. All of them therefore serve, retrain and
+// report through the same code, which is what keeps a loopback daemon run
+// bit-identical to the in-process replay.
 //
-// The engine owns everything a sharded front end needs: the validated
-// RunConfig, the criteria M and cost v, one state block per shard (policy,
+// The engine owns everything a front end needs: the validated RunConfig,
+// the criteria M and cost v, one state block per shard (policy,
 // ServingCore, sampler, fluid ShardQueue, metrics registry, latency
-// recorder, model snapshot, CacheStats), the shared ModelSlot, the trainer
-// with its TrainerWatchdog, the trainer-side registry and the precomputed
-// retrain triggers. It exposes four operations:
+// recorder, model snapshot, CacheStats), the shared ModelSlot with the
+// last published tree, the trainer with its TrainerWatchdog, the retrain
+// schedule, the trainer-side registry and the precomputed retrain
+// triggers. Its operations:
 //
 //   serve_batch  serve up to kAdmissionBatchCapacity requests of one shard
 //                in every admission mode and overload state, through one
@@ -21,12 +23,17 @@
 //                missing one;
 //   barrier      drain the shard samplers, merge in trace order, fit under
 //                the watchdog, validate, compile, publish, snapshot;
-//   finish       the end-of-run RunResult and report.
+//   replay       the whole trace: partition by shard_of_photo, serve the
+//                epochs between triggers on a pool, barrier at each
+//                trigger, finish;
+//   finish       the end-of-run RunResult and report;
+//   snapshot /   the single-shard serving state in the checkpoint format
+//   restore      (core/checkpoint.h).
 //
 // Threading contract: serve_batch/upsert on different shards may run
-// concurrently; calls on one shard must be serialized; barrier, totals
-// and finish require every shard to be quiescent. Shards reload the
-// published model once per published generation, on their next batch.
+// concurrently; calls on one shard must be serialized; barrier, totals,
+// snapshot and finish require every shard to be quiescent. Shards reload
+// the published model once per published generation, on their next batch.
 //
 // Determinism contract: a batch never spans a retrain trigger (the driver
 // calls barrier(t) after serving every request <= t and before any
@@ -37,8 +44,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/intelligent_cache.h"
 #include "core/model_slot.h"
 #include "core/serving_core.h"
@@ -108,6 +117,28 @@ class ShardEngine {
   /// `threads` is recorded in the report.
   RunResult& finish(std::size_t threads);
 
+  /// Serve the whole trace, request 0 onward, on a fresh (or just
+  /// restored) engine: every shard serves its requests up to the next
+  /// trigger on a pool of `threads` workers, then barrier() runs on the
+  /// calling thread, until the trace ends; then finish(threads).
+  RunResult& replay(std::size_t threads);
+
+  /// The serving state of a single-shard proposal engine: criteria, the
+  /// last published tree, history table, trainer reservoir, sampling
+  /// cursor and retrain schedule. Same preconditions as totals(), and no
+  /// fit in flight (always true with the inline watchdog). Throws
+  /// std::invalid_argument unless shards == 1 and the mode is proposal.
+  [[nodiscard]] ClassifierSnapshot snapshot() const;
+
+  /// Install checkpointed state into a single-shard proposal engine that
+  /// has not run a barrier yet (std::invalid_argument otherwise). The
+  /// history, trainer and schedule sections are always restored, and
+  /// triggers() is recomputed from the restored schedule. A corrupt,
+  /// arity-mismatched or slot-oversized model leaves the engine model-less
+  /// (admit-all until the next retrain), counts a rejected model and
+  /// returns false.
+  bool restore(const ClassifierSnapshot& snapshot);
+
  private:
   struct Shard;
 
@@ -126,9 +157,12 @@ class ShardEngine {
   std::vector<Shard> shards_;
 
   // The one shared mutable serving object: barriers publish into the slot
-  // and bump the generation; each shard reloads on its next batch.
+  // and bump the generation; each shard reloads on its next batch. The
+  // published tree itself is kept as the snapshot's model source.
   ModelSlot model_;
   std::atomic<std::uint64_t> generation_{0};
+  std::optional<ml::DecisionTree> model_tree_;
+  RetrainSchedule schedule_;  // advanced at every barrier
   std::unique_ptr<DailyTrainer> trainer_;
   std::unique_ptr<TrainerWatchdog> watchdog_;
   DegradationCounters trainer_degradation_;

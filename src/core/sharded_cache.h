@@ -6,14 +6,14 @@
 // ML-driven cloud block-store caches of arXiv:2501.14770) — the keyspace
 // partition means shards share no mutable state on the request path.
 //
-// ShardedCache::run is a driver over the serving engine
-// (core/shard_engine.h), the same engine the otacd daemon drives: it
-// partitions the trace, feeds each shard's index list to
-// ShardEngine::serve_batch in micro-batches that never cross a retrain
-// trigger, and calls ShardEngine::barrier at every trigger. The CART
-// model is the one deliberately shared piece, published by the barrier
-// into a seqlock slot (core/model_slot.h) that shards reload once per
-// generation.
+// ShardedCache::run is a thin driver over the serving engine
+// (core/shard_engine.h): it picks the worker count and calls
+// ShardEngine::replay, which partitions the trace, serves each shard in
+// micro-batches that never cross a retrain trigger, and runs the retrain
+// barrier at every trigger. IntelligentCache::run is the same call at
+// shards=1. The CART model is the one deliberately shared piece,
+// published by the barrier into a seqlock slot (core/model_slot.h) that
+// shards reload once per generation.
 //
 // Determinism is a design invariant, not an accident:
 //  - the partition is a pure function of the photo id (shard_of_photo);
@@ -23,15 +23,16 @@
 //    never on thread scheduling;
 //  - drained samples are merged in trace order, and per-shard stats are
 //    merged in shard order.
-// Hence shards=1 is bit-identical to IntelligentCache::run (same ServingCore
-// body, same trainer, same schedule) and shards=N is reproducible for any
-// thread count — which tests/core/sharded_*_test.cpp pin down.
+// Hence shards=N is reproducible for any thread count, and shards=1 is
+// exactly IntelligentCache::run — which tests/core/sharded_*_test.cpp pin
+// down with literal expectations.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/intelligent_cache.h"
+#include "core/trainer.h"
 
 namespace otac {
 
@@ -41,18 +42,22 @@ namespace otac {
 [[nodiscard]] std::size_t shard_of_photo(PhotoId photo,
                                          std::size_t shards) noexcept;
 
-/// Request indices at which the retrain schedule fires (RetrainSchedule,
-/// the one ClassifierSystem also runs), precomputed from request times
-/// alone. The sharded front ends use them as barriers: all shards finish
-/// requests <= trigger, the trainer drains the shard buffers and
-/// retrains, the new model is atomically published, serving resumes.
+/// Request indices at which `schedule`, advanced from its current state,
+/// fires — precomputed from request times alone. The engine uses them as
+/// barriers: all shards finish requests <= trigger, the trainer drains the
+/// shard buffers and retrains, the new model is atomically published,
+/// serving resumes.
+[[nodiscard]] std::vector<std::uint64_t> retrain_trigger_indices(
+    const Trace& trace, RetrainSchedule schedule);
+
+/// The triggers of a fresh RetrainSchedule{ota}.
 [[nodiscard]] std::vector<std::uint64_t> retrain_trigger_indices(
     const Trace& trace, const OtaConfig& ota);
 
 class ShardedCache {
  public:
-  /// Wraps the unsharded system to reuse its trace, next-access oracle,
-  /// memoized hit-rate estimates, and cost schedule.
+  /// Wraps the system to reuse its trace, next-access oracle, memoized
+  /// hit-rate estimates, and cost schedule.
   explicit ShardedCache(const IntelligentCache& system);
 
   /// Replay the trace through config.shards shards on config.threads
@@ -64,7 +69,6 @@ class ShardedCache {
 
  private:
   const IntelligentCache* system_;
-  const Trace* trace_;
 };
 
 }  // namespace otac

@@ -74,7 +74,7 @@ std::optional<ml::DecisionTree> DailyTrainer::train(std::uint64_t now_index,
                                                     SimTime now) {
   // Fault-injection surface: a production retrain can die on anything from
   // OOM to a poisoned sample batch; the serving tier must keep the
-  // last-good tree (see ClassifierSystem::observe).
+  // last-good tree (see ShardEngine::barrier).
   OTAC_FAILPOINT_THROW("trainer.train.fail");
   // Hung-retrain surface for the watchdog: a stall long enough that any
   // realistic barrier timeout expires, short enough to keep chaos tests

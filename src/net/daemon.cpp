@@ -594,6 +594,7 @@ SummaryPayload Daemon::Impl::build_summary_locked() {
   summary.file_hit_rate = totals.stats.file_hit_rate();
   summary.byte_hit_rate = totals.stats.byte_hit_rate();
   summary.mean_latency_us = totals.mean_latency_us;
+  summary.refused = totals.stats.refused;
   return summary;
 }
 

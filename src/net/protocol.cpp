@@ -163,6 +163,7 @@ void encode_summary_frame(std::uint8_t* out, std::uint64_t sequence,
   put_f64(body + 88, payload.file_hit_rate);
   put_f64(body + 96, payload.byte_hit_rate);
   put_f64(body + 104, payload.mean_latency_us);
+  put_u64(body + 112, payload.refused);
   encode_header(out, FrameType::summary, sequence,
                 {body, kSummaryPayloadBytes});
 }
@@ -308,6 +309,7 @@ SummaryPayload decode_summary(std::span<const std::uint8_t> payload,
   out.file_hit_rate = read_f64(payload.data() + 88);
   out.byte_hit_rate = read_f64(payload.data() + 96);
   out.mean_latency_us = read_f64(payload.data() + 104);
+  out.refused = read_u64(payload.data() + 112);
   return out;
 }
 

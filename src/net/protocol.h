@@ -115,8 +115,11 @@ struct SummaryPayload {
   double file_hit_rate = 0.0;
   double byte_hit_rate = 0.0;
   double mean_latency_us = 0.0;
+  /// Admitted misses the policy refused to store (object larger than the
+  /// shard): hits + insertions + rejected + refused == requests.
+  std::uint64_t refused = 0;
 };
-inline constexpr std::uint32_t kSummaryPayloadBytes = 112;
+inline constexpr std::uint32_t kSummaryPayloadBytes = 120;
 
 // --- little-endian primitives -------------------------------------------
 

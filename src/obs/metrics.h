@@ -2,10 +2,10 @@
 // counters, gauges, and fixed-bucket histograms.
 //
 // The concurrency model is *per-shard accumulation with explicit merge*,
-// not shared atomics: every request stream (a shard worker, the unsharded
-// simulator loop, the global trainer) owns a private MetricsRegistry and
-// mutates it through pre-resolved handles — a handle increment is one
-// unsynchronized add on memory nothing else touches. Registries meet only
+// not shared atomics: every request stream (a shard worker, the global
+// trainer) owns a private MetricsRegistry and mutates it through
+// pre-resolved handles — a handle increment is one unsynchronized add on
+// memory nothing else touches. Registries meet only
 // at deterministic points (retrain barriers, end of run), where snapshots
 // are taken and merged in shard order. That is what keeps the layer both
 // cheap (no contention, no fences on the request path) and deterministic

@@ -39,7 +39,7 @@ struct RunReport {
   std::size_t threads = 0;
 
   MetricsSnapshot merged;
-  std::vector<MetricsSnapshot> per_shard;  ///< shard order; empty if unsharded
+  std::vector<MetricsSnapshot> per_shard;  ///< shard order
   std::vector<BarrierSample> timeline;     ///< barrier order; last = end of run
 
   /// Non-additive summary figures (hit rates, Eq. 3 mean latency) computed

@@ -2,8 +2,7 @@
 
 #include <numeric>
 
-#include "cachesim/simulator.h"
-#include "core/classifier_system.h"
+#include "core/intelligent_cache.h"
 #include "trace/trace_generator.h"
 
 namespace otac {
@@ -16,40 +15,25 @@ Trace small_trace() {
   return TraceGenerator{config}.generate();
 }
 
-CacheStats run_with_subset(const Trace& trace, const NextAccessInfo& oracle,
-                           std::vector<std::size_t> subset,
-                           ClassifierSystem** out = nullptr) {
-  ClassifierSystemConfig cs;
-  cs.m = 2'000.0;
-  cs.h = 0.4;
-  cs.p = 0.5;
-  cs.ota.feature_subset = std::move(subset);
-  static ClassifierSystem* leaked = nullptr;
-  auto system = std::make_unique<ClassifierSystem>(trace, oracle, cs);
-  const auto policy = make_policy(PolicyKind::lru, 30'000'000);
-  Simulator sim{trace};
-  const CacheStats stats = sim.run(*policy, *system);
-  if (out != nullptr) {
-    delete leaked;
-    leaked = system.release();
-    *out = leaked;
-  }
-  return stats;
+RunResult run_with_subset(const IntelligentCache& system,
+                          std::vector<std::size_t> subset) {
+  RunConfig config;
+  config.policy = PolicyKind::lru;
+  config.capacity_bytes = 30'000'000;
+  config.mode = AdmissionMode::proposal;
+  config.ota.feature_subset = std::move(subset);
+  return system.run(config);
 }
 
 TEST(FeatureSubset, SubsetModelTrainsAndFilters) {
   const Trace trace = small_trace();
-  const NextAccessInfo oracle = compute_next_access(trace);
-  ClassifierSystem* system = nullptr;
-  const CacheStats stats = run_with_subset(
-      trace, oracle,
-      {FeatureExtractor::kRecency, FeatureExtractor::kAvgOwnerViews},
-      &system);
-  ASSERT_NE(system, nullptr);
-  EXPECT_TRUE(system->has_model());
-  EXPECT_GT(stats.rejected, stats.requests / 20);
+  const IntelligentCache system{trace};
+  const RunResult result = run_with_subset(
+      system, {FeatureExtractor::kRecency, FeatureExtractor::kAvgOwnerViews});
+  EXPECT_GT(result.trainings, 0);  // a subset model was published
+  EXPECT_GT(result.stats.rejected, result.stats.requests / 20);
   // Per-day accuracy still beats chance with just two features.
-  for (const auto& day : system->daily_metrics()) {
+  for (const auto& day : result.daily) {
     if (day.day == 0) continue;
     EXPECT_GT(day.raw.accuracy(), 0.55) << "day " << day.day;
   }
@@ -57,12 +41,12 @@ TEST(FeatureSubset, SubsetModelTrainsAndFilters) {
 
 TEST(FeatureSubset, EmptySubsetEqualsAllFeatures) {
   const Trace trace = small_trace();
-  const NextAccessInfo oracle = compute_next_access(trace);
-  const CacheStats all = run_with_subset(trace, oracle, {});
+  const IntelligentCache system{trace};
+  const CacheStats all = run_with_subset(system, {}).stats;
   // Identity check: explicit full subset behaves exactly like empty.
   std::vector<std::size_t> full(FeatureExtractor::kFeatureCount);
   std::iota(full.begin(), full.end(), 0);
-  const CacheStats explicit_full = run_with_subset(trace, oracle, full);
+  const CacheStats explicit_full = run_with_subset(system, full).stats;
   EXPECT_EQ(all.hits, explicit_full.hits);
   EXPECT_EQ(all.insertions, explicit_full.insertions);
   EXPECT_EQ(all.rejected, explicit_full.rejected);
@@ -70,13 +54,15 @@ TEST(FeatureSubset, EmptySubsetEqualsAllFeatures) {
 
 TEST(FeatureSubset, WeakSubsetFiltersLess) {
   const Trace trace = small_trace();
-  const NextAccessInfo oracle = compute_next_access(trace);
-  const CacheStats strong = run_with_subset(
-      trace, oracle,
-      {FeatureExtractor::kRecency, FeatureExtractor::kAvgOwnerViews});
-  const CacheStats weak = run_with_subset(
-      trace, oracle,
-      {FeatureExtractor::kTerminal, FeatureExtractor::kAccessHour});
+  const IntelligentCache system{trace};
+  const CacheStats strong =
+      run_with_subset(system, {FeatureExtractor::kRecency,
+                               FeatureExtractor::kAvgOwnerViews})
+          .stats;
+  const CacheStats weak =
+      run_with_subset(system, {FeatureExtractor::kTerminal,
+                               FeatureExtractor::kAccessHour})
+          .stats;
   // The weak slice must not out-hit the strong one.
   EXPECT_LE(weak.file_hit_rate(), strong.file_hit_rate() + 0.01);
 }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "cachesim/simulator.h"
-#include "core/classifier_system.h"
+#include "core/intelligent_cache.h"
 #include "trace/trace_generator.h"
 
 namespace otac {
@@ -14,46 +13,33 @@ Trace small_trace() {
   return TraceGenerator{config}.generate();
 }
 
+RunResult run_with_interval(const IntelligentCache& system,
+                            double interval_hours) {
+  RunConfig config;
+  config.policy = PolicyKind::lru;
+  config.capacity_bytes = 30'000'000;
+  config.mode = AdmissionMode::proposal;
+  config.ota.retrain_interval_hours = interval_hours;
+  return system.run(config);
+}
+
 TEST(RetrainInterval, IntervalModeTrainsMoreOften) {
   const Trace trace = small_trace();
-  const NextAccessInfo oracle = compute_next_access(trace);
-
-  const auto run_with = [&](double interval_hours) {
-    ClassifierSystemConfig cs;
-    cs.m = 2'000.0;
-    cs.h = 0.4;
-    cs.p = 0.5;
-    cs.ota.retrain_interval_hours = interval_hours;
-    ClassifierSystem system{trace, oracle, cs};
-    const auto policy = make_policy(PolicyKind::lru, 30'000'000);
-    Simulator sim{trace};
-    (void)sim.run(*policy, system);
-    return system.trainings();
-  };
-
-  const int daily = run_with(0.0);
-  const int six_hourly = run_with(6.0);
+  const IntelligentCache system{trace};
+  const int daily = run_with_interval(system, 0.0).trainings;
+  const int six_hourly = run_with_interval(system, 6.0).trainings;
   EXPECT_GE(daily, 8);              // 9-day trace
   EXPECT_GT(six_hourly, 2 * daily); // ~4x more frequent
 }
 
 TEST(RetrainInterval, FrequentRetrainingDoesNotHurtAccuracy) {
   const Trace trace = small_trace();
-  const NextAccessInfo oracle = compute_next_access(trace);
+  const IntelligentCache system{trace};
 
   const auto mean_accuracy = [&](double interval_hours) {
-    ClassifierSystemConfig cs;
-    cs.m = 2'000.0;
-    cs.h = 0.4;
-    cs.p = 0.5;
-    cs.ota.retrain_interval_hours = interval_hours;
-    ClassifierSystem system{trace, oracle, cs};
-    const auto policy = make_policy(PolicyKind::lru, 30'000'000);
-    Simulator sim{trace};
-    (void)sim.run(*policy, system);
     double total = 0.0;
     std::size_t days = 0;
-    for (const auto& day : system.daily_metrics()) {
+    for (const auto& day : run_with_interval(system, interval_hours).daily) {
       if (day.day == 0) continue;
       total += day.raw.accuracy();
       ++days;

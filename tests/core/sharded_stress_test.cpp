@@ -1,5 +1,5 @@
 // Concurrency stress suite (ctest label: concurrency; run under TSan by
-// scripts/check_concurrency.sh). The sharded layer's safety claim is narrow
+// `scripts/ci.sh concurrency`). The sharded layer's safety claim is narrow
 // and checkable: worker threads share exactly one mutable object — the
 // model slot (core/model_slot.h) — plus the mutex-protected failpoint
 // registry. These
@@ -11,6 +11,7 @@
 //      the retrain barrier on the coordinator, never a worker).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -103,7 +104,8 @@ TEST_F(ShardedStressFixture, EightThreadsHammerAdmissionDuringModelSwaps) {
   std::atomic<std::uint64_t> admitted{0};
   ThreadPool pool{kWorkers};
   pool.parallel_for(kWorkers, [&](std::size_t shard) {
-    // Per-shard private state, like one ShardEngine shard.
+    // Per-shard private state, like one ShardEngine shard, served through
+    // the batched path: stage a micro-batch, classify it, admit each row.
     ServingConfig serving;
     ServingCore core{trace_->catalog, *oracle_, serving, 512};
     const std::uint64_t total = trace_->requests.size();
@@ -111,21 +113,35 @@ TEST_F(ShardedStressFixture, EightThreadsHammerAdmissionDuringModelSwaps) {
     std::uint64_t local_admitted = 0;
     std::uint64_t pass = 0;
     ml::CompiledTree snapshot;  // reader-owned storage, reused across loads
+    constexpr std::size_t kBatch = 16;
+    std::array<Request, kBatch> batch;
+    std::array<std::uint64_t, kBatch> batch_index;
     while (local_ops < kOpsPerWorker) {
-      for (std::uint64_t i = shard; i < total && local_ops < kOpsPerWorker;
-           i += kWorkers) {
-        Request request = trace_->requests[i];
-        // Keep the stream time-monotonic across replay passes.
-        request.time.seconds +=
-            static_cast<std::int64_t>(pass) * 10 * kSecondsPerDay;
-        const PhotoMeta& photo = trace_->catalog.photo(request.photo);
-        // One seqlock load per op — far hotter than production (one load
-        // per shard per epoch) precisely to hammer load/store overlap.
-        const ml::CompiledTree* tree =
-            model.load(snapshot) ? &snapshot : nullptr;
-        if (core.admit(tree, i, request, photo)) ++local_admitted;
-        core.observe(request, photo);
-        ++local_ops;
+      std::uint64_t i = shard;
+      while (i < total && local_ops < kOpsPerWorker) {
+        core.begin_batch();
+        const ml::CompiledTree* tree = nullptr;
+        std::size_t n = 0;
+        for (; n < kBatch && i < total && local_ops < kOpsPerWorker;
+             ++n, i += kWorkers, ++local_ops) {
+          batch[n] = trace_->requests[i];
+          batch_index[n] = i;
+          // Keep the stream time-monotonic across replay passes.
+          batch[n].time.seconds +=
+              static_cast<std::int64_t>(pass) * 10 * kSecondsPerDay;
+          (void)core.stage(batch[n], trace_->catalog.photo(batch[n].photo));
+          // One seqlock load per op — far hotter than production (one
+          // load per shard per generation) precisely to hammer load/store
+          // overlap. The batch classifies with the last load.
+          tree = model.load(snapshot) ? &snapshot : nullptr;
+        }
+        core.classify_staged(tree);
+        for (std::size_t b = 0; b < n; ++b) {
+          if (core.admit_staged(b, batch_index[b], batch[b],
+                                trace_->catalog.photo(batch[b].photo))) {
+            ++local_admitted;
+          }
+        }
       }
       ++pass;
     }
@@ -178,17 +194,28 @@ TEST_F(ShardedStressFixture, CheckpointCyclesWithFailpointsDuringServing) {
     fail::Registry::instance().disable_all();
   }};
 
+  // Serving keeps going, pass after pass, until the checkpointer has
+  // cycled a few times, so saves and loads always overlap serving however
+  // the threads are scheduled.
+  constexpr std::uint64_t kMinSaves = 3;
   ThreadPool pool{4};
   pool.parallel_for(4, [&](std::size_t shard) {
     ServingConfig serving;
     ServingCore core{trace_->catalog, *oracle_, serving, 256};
     const std::uint64_t total = trace_->requests.size();
-    for (std::uint64_t i = shard; i < total; i += 4) {
-      const Request& request = trace_->requests[i];
-      const PhotoMeta& photo = trace_->catalog.photo(request.photo);
-      (void)core.admit(static_cast<const ml::CompiledTree*>(nullptr), i,
-                       request, photo);
-      core.observe(request, photo);
+    for (std::uint64_t pass = 0;
+         pass == 0 || saves_attempted.load() < kMinSaves; ++pass) {
+      for (std::uint64_t i = shard; i < total; i += 4) {
+        Request request = trace_->requests[i];
+        // Keep the stream time-monotonic across replay passes.
+        request.time.seconds +=
+            static_cast<std::int64_t>(pass) * 10 * kSecondsPerDay;
+        const PhotoMeta& photo = trace_->catalog.photo(request.photo);
+        core.begin_batch();
+        (void)core.stage(request, photo);
+        core.classify_staged(nullptr);
+        (void)core.admit_staged(0, i, request, photo);
+      }
     }
   });
   serving_done.store(true);

@@ -11,23 +11,24 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 
-#include "cachesim/simulator.h"
 #include "core/checkpoint.h"
-#include "core/classifier_system.h"
-#include "core/ota_criteria.h"
+#include "core/shard_engine.h"
 #include "trace/trace_generator.h"
 #include "util/failpoint.h"
 
 namespace otac {
 namespace {
 
-/// One trained system shared by all tests (training is the slow part).
+/// One trained engine state shared by all tests (training is the slow
+/// part): a single-shard proposal replay at 1.5% of the dataset with the
+/// hit-rate estimate fixed at 0.5.
 struct TrainedWorld {
   Trace trace;
-  NextAccessInfo oracle;
-  ClassifierSystemConfig cs_config;
-  ClassifierSnapshot trained;  // snapshot of a fully trained classifier
+  std::unique_ptr<IntelligentCache> system;
+  RunConfig config;
+  ClassifierSnapshot trained;  // end-of-run snapshot of the trained engine
 
   TrainedWorld() {
     WorkloadConfig workload;
@@ -36,31 +37,45 @@ struct TrainedWorld {
     workload.num_photos = 12'000;
     workload.horizon_days = 3.0;
     trace = TraceGenerator{workload}.generate();
-    oracle = compute_next_access(trace);
+    system = std::make_unique<IntelligentCache>(trace);
 
     double dataset_bytes = 0.0;
     for (const auto& photo : trace.catalog.photos()) {
       dataset_bytes += photo.size_bytes;
     }
-    const auto capacity = static_cast<std::uint64_t>(dataset_bytes * 0.015);
-    const CriteriaResult criteria =
-        compute_criteria(trace, oracle, capacity, /*h=*/0.5);
-    cs_config.m = criteria.m;
-    cs_config.h = criteria.h;
-    cs_config.p = criteria.p;
-    cs_config.collect_daily_metrics = false;
+    config.policy = PolicyKind::lru;
+    config.capacity_bytes =
+        static_cast<std::uint64_t>(dataset_bytes * 0.015);
+    config.mode = AdmissionMode::proposal;
+    config.hit_rate_estimate = 0.5;
 
-    ClassifierSystem classifier{trace, oracle, cs_config};
-    const auto policy = make_policy(PolicyKind::lru, capacity);
-    Simulator sim{trace};
-    (void)sim.run(*policy, classifier);
-    trained = classifier.snapshot();
+    ShardEngine engine{*system, config};
+    (void)engine.replay(1);
+    trained = engine.snapshot();
   }
 };
 
 TrainedWorld& world() {
   static TrainedWorld instance;
   return instance;
+}
+
+/// Serve requests [0, n) one row at a time, with the barrier at every
+/// trigger, and return their outcomes.
+std::vector<ShardEngine::Outcome> serve_prefix(ShardEngine& engine,
+                                               std::uint64_t n) {
+  std::vector<ShardEngine::Outcome> outcomes;
+  const std::vector<std::uint64_t>& triggers = engine.triggers();
+  std::size_t next = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ShardEngine::RowOutcome row;
+    engine.serve_batch(0, &i, 1, &row);
+    outcomes.push_back(row.outcome);
+    if (next < triggers.size() && triggers[next] == i) {
+      engine.barrier(triggers[next++]);
+    }
+  }
+  return outcomes;
 }
 
 class CrashRecoveryTest : public ::testing::Test {
@@ -76,24 +91,20 @@ class CrashRecoveryTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  /// Restore `snapshot` into a fresh system and serve a slice of the trace
+  /// Restore `snapshot` into a fresh engine and serve a slice of the trace
   /// through it — proves the recovered state is actually servable.
   static void serve_with(const ClassifierSnapshot& snapshot,
                          bool expect_model) {
-    ClassifierSystem classifier{world().trace, world().oracle,
-                                world().cs_config};
-    (void)classifier.restore(snapshot);
-    EXPECT_EQ(classifier.has_model(), expect_model);
-    const auto& requests = world().trace.requests;
-    const std::size_t n = std::min<std::size_t>(2000, requests.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& request = requests[i];
-      const PhotoMeta& photo = world().trace.catalog.photo(request.photo);
-      const bool admitted = classifier.admit(i, request, photo);
+    ShardEngine engine{*world().system, world().config};
+    (void)engine.restore(snapshot);
+    EXPECT_EQ(!engine.snapshot().model_blob.empty(), expect_model);
+    const std::uint64_t n =
+        std::min<std::uint64_t>(2000, world().trace.requests.size());
+    for (const ShardEngine::Outcome outcome : serve_prefix(engine, n)) {
       if (!expect_model) {
-        EXPECT_TRUE(admitted);  // cold start == admit-all fallback
+        // Cold start == admit-all fallback: every miss is stored.
+        EXPECT_NE(outcome, ShardEngine::Outcome::rejected);
       }
-      classifier.observe(i, request, photo, false);
     }
   }
 
@@ -104,6 +115,24 @@ TEST_F(CrashRecoveryTest, WorldActuallyTrained) {
   ASSERT_FALSE(world().trained.model_blob.empty())
       << "harness precondition: the shared world must end up with a model";
   ASSERT_GT(world().trained.trainings, 0);
+}
+
+TEST_F(CrashRecoveryTest, EngineSnapshotReproducesPinnedBytes) {
+  // Literal pins of the checkpoint this world produced before the engine
+  // owned snapshot/restore: FNV-1a 64 of the encoded bytes, their length,
+  // and the section counts.
+  const std::string bytes = CheckpointManager::encode(world().trained);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    digest ^= c;
+    digest *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 1'679'318u);
+  EXPECT_EQ(digest, 0x0c4b2dec3707a83bULL);
+  EXPECT_EQ(world().trained.samples.size(), 32'258u);
+  EXPECT_EQ(world().trained.history.size(), 6u);
+  EXPECT_EQ(world().trained.history_rectified, 11u);
+  EXPECT_EQ(world().trained.trainings, 3);
 }
 
 #if defined(OTAC_FAILPOINTS_ENABLED) && OTAC_FAILPOINTS_ENABLED
@@ -195,32 +224,27 @@ TEST_F(CrashRecoveryTest, LoadIoFailureFallsBack) {
 }
 
 TEST_F(CrashRecoveryTest, RetrainFailureKeepsServingLastGoodTree) {
-  // trainer.train.fail on every retrain: the system must keep the restored
+  // trainer.train.fail on every retrain: the engine must keep the restored
   // tree and count the failures — serving never stops.
-  ClassifierSystem classifier{world().trace, world().oracle,
-                              world().cs_config};
+  ShardEngine engine{*world().system, world().config};
   // Reset the retrain schedule: a snapshot taken at the end of the trace
   // would otherwise suppress retraining for the whole replay.
   ClassifierSnapshot snapshot = world().trained;
   snapshot.last_trained_day = std::numeric_limits<std::int64_t>::min();
   snapshot.last_trained_time = std::numeric_limits<std::int64_t>::min();
-  ASSERT_TRUE(classifier.restore(snapshot));
-  ASSERT_TRUE(classifier.has_model());
-  const std::string before = classifier.model()->serialize();
+  ASSERT_TRUE(engine.restore(snapshot));
+  const std::string before = engine.snapshot().model_blob;
+  ASSERT_FALSE(before.empty());
+  ASSERT_FALSE(engine.triggers().empty());
 
   fail::Registry::instance().enable("trainer.train.fail");
-  const auto& requests = world().trace.requests;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Request& request = requests[i];
-    const PhotoMeta& photo = world().trace.catalog.photo(request.photo);
-    (void)classifier.admit(i, request, photo);
-    classifier.observe(i, request, photo, false);
-  }
+  const RunResult& result = engine.replay(1);
   fail::Registry::instance().disable_all();
 
-  EXPECT_GT(classifier.degradation().retrain_failures, 0u);
-  ASSERT_TRUE(classifier.has_model());
-  EXPECT_EQ(classifier.model()->serialize(), before)
+  EXPECT_GT(result.degradation.retrain_failures, 0u);
+  const std::string after = engine.snapshot().model_blob;
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(after, before)
       << "failed retrains must not replace the last-good tree";
 }
 
@@ -305,62 +329,65 @@ TEST_F(CrashRecoveryTest, CorruptModelBlobDegradesToAdmitAll) {
   ClassifierSnapshot snapshot = world().trained;
   snapshot.model_blob = "otac-dtree 1 2 1 1 9\n0 nan 1 1 0.5 0\n";
 
-  ClassifierSystem classifier{world().trace, world().oracle,
-                              world().cs_config};
-  EXPECT_FALSE(classifier.restore(snapshot));
-  EXPECT_FALSE(classifier.has_model());
-  EXPECT_EQ(classifier.degradation().rejected_models, 1u);
+  ShardEngine engine{*world().system, world().config};
+  EXPECT_FALSE(engine.restore(snapshot));
+  const ClassifierSnapshot state = engine.snapshot();
+  EXPECT_TRUE(state.model_blob.empty());
+  EXPECT_EQ(engine.totals().degradation.rejected_models, 1u);
   // History/trainer sections still restored — only the model degraded.
-  EXPECT_EQ(classifier.history().rectified_count(),
-            snapshot.history_rectified);
+  EXPECT_EQ(state.history_rectified, snapshot.history_rectified);
+  EXPECT_EQ(state.samples.size(), snapshot.samples.size());
 
-  const Request& request = world().trace.requests.front();
-  EXPECT_TRUE(classifier.admit(0, request,
-                               world().trace.catalog.photo(request.photo)));
+  EXPECT_EQ(serve_prefix(engine, 1).front(), ShardEngine::Outcome::stored);
 }
 
 TEST_F(CrashRecoveryTest, ArityMismatchedModelIsRejectedOnRestore) {
   // A tree trained for a different feature subset must not be served.
   ClassifierSnapshot snapshot = world().trained;
   snapshot.model_blob = "otac-dtree 1 1 0 0 3\n-1 0 -1 -1 0.5 0\n0 0 0 \n";
-  ClassifierSystem classifier{world().trace, world().oracle,
-                              world().cs_config};
-  EXPECT_FALSE(classifier.restore(snapshot));
-  EXPECT_FALSE(classifier.has_model());
-  EXPECT_EQ(classifier.degradation().rejected_models, 1u);
+  ShardEngine engine{*world().system, world().config};
+  EXPECT_FALSE(engine.restore(snapshot));
+  EXPECT_TRUE(engine.snapshot().model_blob.empty());
+  EXPECT_EQ(engine.totals().degradation.rejected_models, 1u);
 }
 
 TEST_F(CrashRecoveryTest, MisconfiguredSubsetDegradesPerRequest) {
   // A deployed feature subset pointing outside the extractor's nine
   // features must route every prediction to the fallback admit, counted
   // as predict_failures — not read out of bounds.
-  ClassifierSystemConfig config = world().cs_config;
+  RunConfig config = world().config;
   config.ota.feature_subset = {0, 99};
-  ClassifierSystem classifier{world().trace, world().oracle, config};
+  ShardEngine engine{*world().system, config};
 
   ClassifierSnapshot snapshot;
   snapshot.model_blob = "otac-dtree 1 1 0 0 2\n-1 0 -1 -1 0.9 0\n0 0 \n";
-  ASSERT_TRUE(classifier.restore(snapshot));
-  ASSERT_TRUE(classifier.has_model());
+  ASSERT_TRUE(engine.restore(snapshot));
+  ASSERT_FALSE(engine.snapshot().model_blob.empty());
 
-  const Request& request = world().trace.requests.front();
-  EXPECT_TRUE(classifier.admit(0, request,
-                               world().trace.catalog.photo(request.photo)));
-  EXPECT_EQ(classifier.degradation().predict_failures, 1u);
+  EXPECT_EQ(serve_prefix(engine, 1).front(), ShardEngine::Outcome::stored);
+  EXPECT_EQ(engine.totals().degradation.predict_failures, 1u);
 }
 
 TEST_F(CrashRecoveryTest, SnapshotRestoreRoundTripPreservesServingState) {
-  // restore(snapshot()) must reproduce byte-identical serving decisions.
-  ClassifierSystem restored{world().trace, world().oracle, world().cs_config};
+  // restore(snapshot()) must reproduce byte-identical serving state.
+  ShardEngine restored{*world().system, world().config};
   ASSERT_TRUE(restored.restore(world().trained));
-  EXPECT_EQ(restored.model()->serialize(), world().trained.model_blob);
-  EXPECT_EQ(restored.trainings(), world().trained.trainings);
-  EXPECT_EQ(restored.history().rectified_count(),
-            world().trained.history_rectified);
   const ClassifierSnapshot again = restored.snapshot();
   EXPECT_EQ(again.model_blob, world().trained.model_blob);
+  EXPECT_EQ(again.trainings, world().trained.trainings);
+  EXPECT_EQ(again.history_rectified, world().trained.history_rectified);
   EXPECT_EQ(again.samples.size(), world().trained.samples.size());
   EXPECT_EQ(again.history.size(), world().trained.history.size());
+  EXPECT_EQ(CheckpointManager::encode(again),
+            CheckpointManager::encode(world().trained));
+}
+
+TEST_F(CrashRecoveryTest, SnapshotAndRestoreRejectShardedEngines) {
+  RunConfig config = world().config;
+  config.shards = 2;
+  ShardEngine engine{*world().system, config};
+  EXPECT_THROW((void)engine.snapshot(), std::invalid_argument);
+  EXPECT_THROW((void)engine.restore(world().trained), std::invalid_argument);
 }
 
 }  // namespace

@@ -114,9 +114,13 @@ TEST(DaemonE2e, MissAdmittedRepliesOnlyForStoredObjects) {
   LoadgenResult client;
   const RunResult server = serve_once(config, &client);
   const CacheStats& stats = server.stats;
-  ASSERT_GT(stats.requests - stats.hits - stats.insertions - stats.rejected,
-            0u)
+  // The identity from the wire summary alone, with `refused` as sent.
+  const SummaryPayload& wire = client.server;
+  ASSERT_GT(wire.refused, 0u)
       << "no admitted miss was refused; the test would pass vacuously";
+  EXPECT_EQ(wire.hits + wire.insertions + wire.rejected + wire.refused,
+            wire.requests);
+  EXPECT_EQ(wire.refused, stats.refused);
   EXPECT_EQ(stats.hits + stats.insertions + stats.rejected + stats.refused,
             stats.requests);
   EXPECT_EQ(client.admitted, stats.insertions);

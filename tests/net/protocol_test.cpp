@@ -85,6 +85,7 @@ TEST(Protocol, PutResultSummaryRoundTrip) {
   summary.eviction_hash = 0x482f95a6f4a0f410ULL;
   summary.file_hit_rate = 0.6;
   summary.mean_latency_us = 5200.25;
+  summary.refused = 17;
   std::vector<std::uint8_t> summary_bytes(kSummaryFrameBytes);
   encode_summary_frame(summary_bytes.data(), 13, summary);
   FrameParser summary_parser{summary_bytes};
@@ -95,6 +96,7 @@ TEST(Protocol, PutResultSummaryRoundTrip) {
   EXPECT_EQ(summary_back.eviction_hash, 0x482f95a6f4a0f410ULL);
   EXPECT_DOUBLE_EQ(summary_back.file_hit_rate, 0.6);
   EXPECT_DOUBLE_EQ(summary_back.mean_latency_us, 5200.25);
+  EXPECT_EQ(summary_back.refused, 17u);
 }
 
 TEST(Protocol, ControlFramesRoundTripEmptyPayload) {
@@ -230,7 +232,7 @@ TEST(Protocol, TypedDecodersRejectWrongSizes) {
   expect_error([&] { (void)decode_result(bytes, 5); },
                "frame 5: result payload is 8 bytes (expected 16)");
   expect_error([&] { (void)decode_summary(bytes, 6); },
-               "frame 6: summary payload is 8 bytes (expected 112)");
+               "frame 6: summary payload is 8 bytes (expected 120)");
 }
 
 TEST(Protocol, UnknownResultStatusRejected) {

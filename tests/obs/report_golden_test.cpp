@@ -291,25 +291,6 @@ TEST(ReportGolden, ReportAgreesWithRunResult) {
             result.stats.requests);
 }
 
-TEST(ReportGolden, ShardedOneMatchesUnshardedModuloTimings) {
-  const Trace trace = make_trace();
-  const IntelligentCache system{trace};
-  const RunConfig config = proposal_config(system);
-  const RunResult unsharded = system.run(config);
-  const RunResult sharded = ShardedCache{system}.run(config);
-
-  MetricsSnapshot a = strip_timings(unsharded.obs.merged);
-  MetricsSnapshot b = strip_timings(sharded.obs.merged);
-  // These metrics only exist on the sharded path: the shard-buffer drain
-  // counter, the seqlock publish counter, and the admission micro-batch
-  // size histogram (the unsharded system serves scalar).
-  b.counters.erase("trainer.samples_drained");
-  b.counters.erase("trainer.compiled_tree_swaps");
-  b.histograms.erase("serving.admission_batch_size");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(unsharded.obs.derived, sharded.obs.derived);
-}
-
 TEST(ReportGolden, RealRunJsonSchemaAndPrometheusGrammar) {
   const Trace trace = make_trace();
   const IntelligentCache system{trace};
