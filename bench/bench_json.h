@@ -1,7 +1,8 @@
 // Shared scaffolding for the plain-main micro-benchmarks: steady-clock
 // timing, best-of-N rep selection, and a machine-readable JSON report
-// ({"bench": ..., "cells": [...]}) written next to the working directory so
-// CI and the perf notes in DESIGN.md can diff runs without scraping stdout.
+// ({"bench", "reps", "provenance", "cells"}) written next to the working
+// directory so CI and the perf notes in DESIGN.md can diff runs without
+// scraping stdout. tools/envelope_gate checks every report's schema.
 #pragma once
 
 #include <algorithm>
@@ -11,9 +12,18 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/env_config.h"
+
+// Set by the otac_bench_report CMake target at configure time.
+#ifndef OTAC_GIT_COMMIT
+#define OTAC_GIT_COMMIT "unknown"
+#endif
+#ifndef OTAC_BUILD_TYPE
+#define OTAC_BUILD_TYPE "unknown"
+#endif
 
 namespace otac::bench {
 
@@ -44,6 +54,40 @@ inline double best_of(int reps, const std::function<void()>& body) {
   return best;
 }
 
+/// `text` as a JSON string literal.
+inline std::string json_string(const std::string& text) {
+  std::string quoted = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') quoted += '\\';
+    quoted += c;
+  }
+  return quoted + '"';
+}
+
+/// Where a report's numbers came from: the machine, the build and the
+/// OTAC_SCALE in effect. Numbers without it cannot be compared.
+inline std::string provenance_json() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t start = line.find_first_not_of(" \t:", 10);
+    if (start != std::string::npos) cpu_model = line.substr(start);
+    break;
+  }
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#else
+  const std::string compiler = "gcc " __VERSION__;
+#endif
+  return "{\"commit\": " + json_string(OTAC_GIT_COMMIT) +
+         ", \"cpu_model\": " + json_string(cpu_model) +
+         ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": " + json_string(compiler) +
+         ", \"build_type\": " + json_string(OTAC_BUILD_TYPE) +
+         ", \"otac_scale\": " + std::to_string(global_scale()) + "}";
+}
+
 /// One JSON object per finished cell, preformatted by the bench.
 struct Report {
   std::string bench;
@@ -53,6 +97,7 @@ struct Report {
   void write(const std::string& path) const {
     std::ofstream out(path);
     out << "{\n  \"bench\": \"" << bench << "\",\n  \"reps\": " << reps
+        << ",\n  \"provenance\": " << provenance_json()
         << ",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       out << "    " << cells[i] << (i + 1 < cells.size() ? ",\n" : "\n");

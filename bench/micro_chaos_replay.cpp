@@ -14,6 +14,7 @@
 #include "bench/bench_json.h"
 #include "tools/chaos/chaos.h"
 #include "trace/trace_generator.h"
+#include "util/failpoint.h"
 
 int main(int argc, char** argv) {
   using namespace otac;
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
   constexpr std::uint64_t kSeed = 42;
 
-  if (!chaos::failpoints_compiled()) {
+  if (!fail::kSitesCompiled) {
     std::printf(
         "failpoint sites compiled out (OTAC_FAILPOINTS=OFF): chaos "
         "scenarios would run fault-free; refusing to emit a vacuous "

@@ -5,7 +5,7 @@
 function(otac_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_compile_options(${name} PRIVATE ${OTAC_HARDENED_WARNINGS})
-  target_link_libraries(${name} PRIVATE otac_experiments)
+  target_link_libraries(${name} PRIVATE otac_experiments otac_bench_report)
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR})
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
@@ -47,6 +47,6 @@ target_link_libraries(micro_chaos_replay PRIVATE otac_chaos)
 # Scenario-matrix report (src/scenario): every registered adapter +
 # adversarial scenario across Original/Proposal — BENCH_scenarios.json is
 # the artifact `scripts/ci.sh scenarios` gates against checked-in
-# envelopes (tools/scenario_gate).
+# envelopes (tools/envelope_gate).
 otac_add_bench(micro_scenarios)
 target_link_libraries(micro_scenarios PRIVATE otac_scenario)

@@ -13,24 +13,27 @@
 #                (sharded stress + determinism)
 #   chaos        chaos-schedule gate: the `chaos` ctest label (builtin
 #                fault scenarios, tools/chaos) under ASan+UBSan *and*
-#                TSan, then the replay report binary emits and validates
+#                TSan, then the replay report binary emits
 #                BENCH_chaos.json (exits nonzero if any scenario fails
-#                to complete, recover, or keep shedding bounded)
+#                to complete, recover, or keep shedding bounded) and the
+#                envelope gate checks its schema
 #   bench-smoke  reduced-iteration micro-bench pass (OTAC_SCALE, default
-#                0.02) that emits and validates the BENCH_*.json reports
+#                0.02) that emits the BENCH_*.json reports and checks
+#                their schema with the envelope gate
 #   scenarios    scenario-matrix regression gate: micro_scenarios replays
 #                every registered scenario (src/scenario) at full scale
 #                through Original and Proposal admission, emits
-#                BENCH_scenarios.json, and tools/scenario_gate validates
+#                BENCH_scenarios.json, and tools/envelope_gate validates
 #                every cell against the checked-in tolerance envelopes
-#                (hit rate, write count, shed ceiling, p99)
+#                (hit rate, write count, shed ceiling, p99) after its
+#                own self-test proves it can fail
 #   daemon       serving-daemon smoke gate: otacd replays the pinned
 #                bench workload behind real loopback sockets while
 #                otac_loadgen offers the trace open-loop, the resulting
-#                BENCH_daemon.json must sit inside
-#                tools/daemon_gate/envelopes.json (after the gate's own
-#                negative fixtures prove it can fail), and the daemon
-#                e2e suite runs under TSan
+#                BENCH_daemon.json must sit inside the daemon cells of
+#                tools/envelope_gate/envelopes.json (after the gate's own
+#                self-test proves it can fail), and the daemon e2e suite
+#                runs under TSan
 #   lint         three-layer static-analysis gate: otac-lint invariants,
 #                hardened-warning build (OTAC_WERROR=ON), curated
 #                clang-tidy over the compile database (mandatory when
@@ -104,7 +107,9 @@ case "$JOB" in
     mkdir -p "$ASAN_DIR/bench-smoke"
     "$ASAN_DIR/bench/micro_chaos_replay" \
       "$ASAN_DIR/bench-smoke/BENCH_chaos.json" "${OTAC_CHAOS_SCALE:-0.05}"
-    python3 -m json.tool "$ASAN_DIR/bench-smoke/BENCH_chaos.json" > /dev/null
+    python3 tools/envelope_gate/envelope_gate.py \
+      tools/envelope_gate/envelopes.json \
+      "$ASAN_DIR/bench-smoke/BENCH_chaos.json"
     echo "chaos gate passed; report in $ASAN_DIR/bench-smoke/BENCH_chaos.json"
     ;;
 
@@ -124,19 +129,17 @@ case "$JOB" in
       # Chaos replay report: a behavior gate (completion/recovery/shed
       # rate per fault scenario), self-failing on any scenario miss.
       ../bench/micro_chaos_replay BENCH_chaos.json 0.05
-      # Scenario matrix at a smoke scale (envelope checks only engage at
-      # scale >= 1.0 — the `scenarios` job owns the tight gate).
+      # Scenario matrix at a smoke scale (its windows are calibrated at
+      # scale 1.0 — the `scenarios` job owns that gate).
       ../bench/micro_scenarios BENCH_scenarios.json 0.2
-      # Malformed report JSON fails the job — the reports are the artifact.
-      for report in BENCH_*.json; do
-        python3 -m json.tool "$report" > /dev/null
-        echo "valid JSON: $report"
-      done
     )
-    # Schema gate: json.tool only proves the reports parse; a bench that
-    # silently emitted zero cells (or dropped the keys the perf notes
-    # read) must fail the job, not upload an empty artifact.
-    python3 tools/bench_gate/check_bench_smoke.py "$BUILD_DIR/bench-smoke"
+    # Schema gate: a report that does not parse, silently emitted zero
+    # cells, dropped the keys the perf notes read or carries no
+    # provenance fails the job instead of uploading. The envelopes are
+    # calibrated at other scales, so an empty set ({}) applies the schema
+    # check alone.
+    python3 tools/envelope_gate/envelope_gate.py <(echo '{}') \
+      "$BUILD_DIR"/bench-smoke/BENCH_*.json
     echo "bench smoke passed (OTAC_SCALE=${OTAC_SCALE:-0.02}); reports in $BUILD_DIR/bench-smoke"
     ;;
 
@@ -145,21 +148,23 @@ case "$JOB" in
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$BUILD_DIR" --target micro_scenarios -j"$(nproc)"
     mkdir -p "$BUILD_DIR/bench-smoke"
+    # Self-test first: the injected regressions must fail, so a gate that
+    # cannot fail cannot pass the job.
+    python3 tools/envelope_gate/envelope_gate_test.py
+    echo "envelope gate self-test passed (regression fixtures fail as required)"
     # Full-scale replay: the envelopes are calibrated at scale 1.0 with
     # the bench's pinned seed, so the run is deterministic and the gate's
     # windows are drift, not noise. micro_scenarios itself exits nonzero
-    # if any cell falls outside its registry sanity envelope.
+    # if any replay is incomplete.
     "$BUILD_DIR/bench/micro_scenarios" \
       "$BUILD_DIR/bench-smoke/BENCH_scenarios.json" \
       "${OTAC_SCENARIO_SCALE:-1.0}"
-    python3 -m json.tool "$BUILD_DIR/bench-smoke/BENCH_scenarios.json" \
-      > /dev/null
     # The regression gate proper: per-(scenario, mode) windows on hit
     # rate, write count, shed ceiling, and p99. Fails on any cell outside
     # its envelope or any scenario missing from either side.
-    python3 tools/scenario_gate/check_scenarios.py \
-      "$BUILD_DIR/bench-smoke/BENCH_scenarios.json" \
-      tools/scenario_gate/envelopes.json
+    python3 tools/envelope_gate/envelope_gate.py \
+      tools/envelope_gate/envelopes.json \
+      "$BUILD_DIR/bench-smoke/BENCH_scenarios.json"
     echo "scenario gate passed; report in $BUILD_DIR/bench-smoke/BENCH_scenarios.json"
     ;;
 
@@ -169,10 +174,10 @@ case "$JOB" in
     # on) behind real sockets while the open-loop load generator offers
     # the first 20k requests at 40k rps; the resulting BENCH_daemon.json
     # (client p50/p99/p999 + the server-side replay summary, eviction
-    # hash included) must sit inside tools/daemon_gate/envelopes.json.
-    # The gate's own negative fixtures (injected p99 regression,
-    # silently-empty report) run first, so a gate that cannot fail
-    # cannot pass the job. Finally the daemon e2e suite — real acceptor/
+    # hash included) must sit inside its cells of
+    # tools/envelope_gate/envelopes.json. The gate's self-test (injected
+    # p99 regression, silently-empty report) runs first, so a gate that
+    # cannot fail cannot pass the job. Finally the daemon e2e suite — real acceptor/
     # reader/worker threads reproducing the in-process replay
     # bit-for-bit — runs under TSan. Build dirs match the bench-smoke
     # and concurrency jobs so local runs and CI share caches.
@@ -181,8 +186,8 @@ case "$JOB" in
     TSAN_DIR="${TSAN_DIR:-build-tsan}"
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$BUILD_DIR" --target otacd otac_loadgen -j"$(nproc)"
-    python3 tools/daemon_gate/check_daemon_test.py
-    echo "daemon gate self-test passed (regression fixtures fail as required)"
+    python3 tools/envelope_gate/envelope_gate_test.py
+    echo "envelope gate self-test passed (regression fixtures fail as required)"
     mkdir -p "$BUILD_DIR/bench-smoke"
     PORT_FILE="$BUILD_DIR/bench-smoke/otacd.port"
     rm -f "$PORT_FILE"
@@ -203,10 +208,9 @@ case "$JOB" in
     # a bug the job should time out on, not silently kill away.
     wait "$OTACD_PID"
     trap - EXIT
-    python3 -m json.tool "$BUILD_DIR/bench-smoke/BENCH_daemon.json" > /dev/null
-    python3 tools/daemon_gate/check_daemon.py \
-      "$BUILD_DIR/bench-smoke/BENCH_daemon.json" \
-      tools/daemon_gate/envelopes.json
+    python3 tools/envelope_gate/envelope_gate.py \
+      tools/envelope_gate/envelopes.json \
+      "$BUILD_DIR/bench-smoke/BENCH_daemon.json"
     cmake -B "$TSAN_DIR" -S . -DOTAC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "$TSAN_DIR" --target test_daemon_e2e -j"$(nproc)"
     ctest --test-dir "$TSAN_DIR" -L concurrency -R DaemonE2e \

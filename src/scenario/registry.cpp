@@ -216,7 +216,6 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
   s.description =
       "generational key churn: cohorts go hot, get purged, never return";
   s.make_trace = &make_churn_purge_trace;
-  s.envelope = {0.10, 0.999, 0.90, 0.0};
   return s;
 }
 
@@ -227,7 +226,6 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
       "cloud block-storage volumes: long sequential runs of large blocks "
       "over a small hot random-I/O set";
   s.make_trace = &make_cloud_block_trace;
-  s.envelope = {0.05, 0.999, 0.98, 0.0};
   return s;
 }
 
@@ -238,7 +236,6 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
       "mid-trace +8h phase shift invalidates the learned access-hour "
       "feature";
   s.make_trace = &make_diurnal_shift_trace;
-  s.envelope = {0.05, 0.999, 0.95, 0.0};
   return s;
 }
 
@@ -254,7 +251,6 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
   s.resilience.overload.service_rate_per_s = 0.5;
   s.resilience.overload.flash_crowd_burst = 150.0;
   s.threads = 1;  // pins the failpoint evaluation order
-  s.envelope = {0.05, 0.999, 0.95, 0.05};
   return s;
 }
 
@@ -265,7 +261,6 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
       "RocksDB block-cache record stream (Zipf point reads + compaction "
       "scans) through the adapter";
   s.make_trace = &make_rocksdb_trace;
-  s.envelope = {0.10, 0.999, 0.95, 0.0};
   return s;
 }
 
@@ -276,7 +271,6 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
       "periodic sequential scans stream large one-time objects through the "
       "hot set";
   s.make_trace = &make_scan_flood_trace;
-  s.envelope = {0.05, 0.999, 0.98, 0.0};
   return s;
 }
 
@@ -287,7 +281,6 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
       "mid-trace shard failure re-keys one shard's working set cold across "
       "the survivors";
   s.make_trace = &make_shard_failover_trace;
-  s.envelope = {0.05, 0.999, 0.95, 0.0};
   return s;
 }
 
@@ -339,14 +332,6 @@ const ScenarioSpec& find(std::string_view name) {
   throw std::invalid_argument(message);
 }
 
-bool failpoints_compiled() noexcept {
-#if defined(OTAC_FAILPOINTS_ENABLED) && OTAC_FAILPOINTS_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 ScenarioMetrics summarize(const RunResult& result) {
   ScenarioMetrics m;
   m.requests = result.stats.requests;
@@ -356,11 +341,6 @@ ScenarioMetrics summarize(const RunResult& result) {
   m.degraded_admits = result.degradation.degraded_admits;
   m.file_hit_rate = result.stats.file_hit_rate();
   m.byte_write_rate = result.stats.byte_write_rate();
-  m.shed_rate =
-      m.requests == 0
-          ? 0.0
-          : static_cast<double>(m.shed_requests) /
-                static_cast<double>(m.requests);
   const auto histogram =
       result.obs.merged.histograms.find("latency.request_us");
   if (histogram != result.obs.merged.histograms.end()) {

@@ -1,6 +1,6 @@
 // Scenario registry: turn a registered name into a ready-to-replay Trace
-// plus the configuration (faults, resilience, sharding, capacity) and a
-// loose expected-metric envelope for the run. Two scenario families:
+// plus the configuration (faults, resilience, sharding, capacity) for the
+// run. Two scenario families:
 //
 //   adapters     — workloads the synthetic photo generator cannot produce:
 //                  a RocksDB block-cache record stream (rocksdb_trace.h)
@@ -15,9 +15,8 @@
 // Names are registry-pinned: every spec's name must appear in
 // scenario_names.h (all() cross-checks at first use and throws otherwise),
 // and tools/otac_lint rejects find("...") calls naming anything else. The
-// Envelope here is a broad sanity band checked by bench/micro_scenarios at
-// full scale; the tight per-metric regression windows CI enforces live in
-// tools/scenario_gate/envelopes.json.
+// per-metric regression windows CI enforces on each run live in
+// tools/envelope_gate/envelopes.json.
 #pragma once
 
 #include <cstdint>
@@ -38,17 +37,6 @@ struct ScenarioFault {
   fail::Spec spec{};
 };
 
-/// Broad sanity band for one scenario run (either admission mode). The
-/// bench refuses to publish numbers that fall outside it at full scale —
-/// it catches "the scenario no longer exercises what it claims to", not
-/// small regressions (those are tools/scenario_gate's job).
-struct Envelope {
-  double min_file_hit_rate = 0.0;
-  double max_file_hit_rate = 1.0;
-  double max_byte_write_rate = 1.0;
-  double max_shed_rate = 0.0;
-};
-
 struct ScenarioSpec {
   std::string name;
   std::string description;
@@ -63,7 +51,6 @@ struct ScenarioSpec {
   std::size_t threads = 0;
   /// Cache capacity as a fraction of the workload's total object bytes.
   double capacity_fraction = 0.02;
-  Envelope envelope{};
 };
 
 /// All registered scenarios, name-sorted — same order and names as
@@ -74,12 +61,8 @@ struct ScenarioSpec {
 /// Lookup by name; throws std::invalid_argument listing the known names.
 [[nodiscard]] const ScenarioSpec& find(std::string_view name);
 
-/// True when OTAC_FAILPOINT_* sites are compiled in; without them the
-/// fault-driven scenarios (flash_crowd) run fault-free.
-[[nodiscard]] bool failpoints_compiled() noexcept;
-
 /// The per-(scenario, mode) numbers exported to BENCH_scenarios.json and
-/// gated by tools/scenario_gate.
+/// gated by tools/envelope_gate.
 struct ScenarioMetrics {
   std::uint64_t requests = 0;
   std::uint64_t hits = 0;
@@ -88,16 +71,8 @@ struct ScenarioMetrics {
   std::uint64_t degraded_admits = 0;
   double file_hit_rate = 0.0;
   double byte_write_rate = 0.0;
-  double shed_rate = 0.0;
   double p99_latency_us = 0.0;  ///< 0 when the run exported no histogram
   int trainings = 0;
-
-  [[nodiscard]] bool within(const Envelope& envelope) const noexcept {
-    return file_hit_rate >= envelope.min_file_hit_rate &&
-           file_hit_rate <= envelope.max_file_hit_rate &&
-           byte_write_rate <= envelope.max_byte_write_rate &&
-           shed_rate <= envelope.max_shed_rate;
-  }
 };
 
 [[nodiscard]] ScenarioMetrics summarize(const RunResult& result);

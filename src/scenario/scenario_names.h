@@ -6,8 +6,9 @@
 // suite loudly instead of silently dropping out of the CI matrix.
 //
 // To add a scenario: add the name here (keep the list sorted), register
-// the spec in src/scenario/registry.cpp, record its tolerance envelope in
-// tools/scenario_gate/envelopes.json, and re-run `scripts/ci.sh scenarios`.
+// the spec in src/scenario/registry.cpp, record both admission modes' cells
+// in tools/envelope_gate/envelopes.json, and re-run `scripts/ci.sh
+// scenarios`.
 #pragma once
 
 #include <string_view>

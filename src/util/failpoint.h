@@ -32,6 +32,15 @@
 
 namespace otac::fail {
 
+/// True when OTAC_FAILPOINT_* sites are compiled in (-DOTAC_FAILPOINTS=ON).
+/// Without them fault-driven scenarios replay fault-free, so tests skip
+/// and benches say so.
+#if defined(OTAC_FAILPOINTS_ENABLED) && OTAC_FAILPOINTS_ENABLED
+inline constexpr bool kSitesCompiled = true;
+#else
+inline constexpr bool kSitesCompiled = false;
+#endif
+
 /// Thrown by OTAC_FAILPOINT_THROW sites (and by scripted actions that
 /// simulate a crash). Carries the failpoint name for assertions.
 class FailpointTriggered : public std::runtime_error {

@@ -39,7 +39,7 @@ class ChaosReplayTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    if (!chaos::failpoints_compiled()) {
+    if (!fail::kSitesCompiled) {
       GTEST_SKIP() << "failpoint sites compiled out (OTAC_FAILPOINTS=OFF)";
     }
     fail::Registry::instance().disable_all();

@@ -20,14 +20,6 @@ class WatchdogTest : public ::testing::Test {
  protected:
   void SetUp() override { fail::Registry::instance().disable_all(); }
   void TearDown() override { fail::Registry::instance().disable_all(); }
-
-  static bool failpoints_compiled() {
-#if defined(OTAC_FAILPOINTS_ENABLED) && OTAC_FAILPOINTS_ENABLED
-    return true;
-#else
-    return false;
-#endif
-  }
 };
 
 struct TrainerHarness {
@@ -91,7 +83,7 @@ TEST_F(WatchdogTest, InlineSkipsOnTooFewSamples) {
 }
 
 TEST_F(WatchdogTest, InlineZeroRetriesMatchesHistoricalTryCatch) {
-  if (!failpoints_compiled()) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
+  if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   TrainerWatchdog watchdog{h.trainer, WatchdogConfig{}};  // max_retries = 0
   fail::Registry::instance().enable("trainer.train.fail");
@@ -104,7 +96,7 @@ TEST_F(WatchdogTest, InlineZeroRetriesMatchesHistoricalTryCatch) {
 }
 
 TEST_F(WatchdogTest, InlineRetryAbsorbsTransientFailure) {
-  if (!failpoints_compiled()) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
+  if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   WatchdogConfig config;
   config.max_retries = 2;
@@ -119,7 +111,7 @@ TEST_F(WatchdogTest, InlineRetryAbsorbsTransientFailure) {
 }
 
 TEST_F(WatchdogTest, InlineTerminalFailureAfterBudget) {
-  if (!failpoints_compiled()) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
+  if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   WatchdogConfig config;
   config.max_retries = 2;
@@ -145,7 +137,7 @@ TEST_F(WatchdogTest, ThreadedCompletesWithinTimeout) {
 }
 
 TEST_F(WatchdogTest, ThreadedHangTimesOutBuffersAndRecovers) {
-  if (!failpoints_compiled()) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
+  if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   WatchdogConfig config;
   config.timeout_s = 0.02;  // 20 ms vs the 250 ms scripted hang
@@ -197,7 +189,7 @@ TEST_F(WatchdogTest, ThreadedHangTimesOutBuffersAndRecovers) {
 }
 
 TEST_F(WatchdogTest, DestructorAbandonsHungJobWithoutDeadlock) {
-  if (!failpoints_compiled()) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
+  if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   WatchdogConfig config;
   config.timeout_s = 0.01;

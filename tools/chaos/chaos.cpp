@@ -176,14 +176,6 @@ namespace {
 
 }  // namespace
 
-bool failpoints_compiled() noexcept {
-#if defined(OTAC_FAILPOINTS_ENABLED) && OTAC_FAILPOINTS_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 const std::vector<Scenario>& builtin_scenarios() {
   static const std::vector<Scenario> scenarios = {
       make_failpoint_storm(),   make_retrain_transient(),

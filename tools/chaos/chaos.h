@@ -37,10 +37,6 @@
 
 namespace otac::chaos {
 
-/// True when OTAC_FAILPOINT_* sites are compiled in — scenarios degenerate
-/// to fault-free replays without them (tests skip, the bench reports it).
-[[nodiscard]] bool failpoints_compiled() noexcept;
-
 /// One armed failpoint: a registered name plus its trigger spec. Every
 /// builtin scenario uses self-clearing triggers (once / every_nth /
 /// window), never `always` — "faults clear" is part of the contract.
