@@ -65,8 +65,8 @@ inline std::string json_string(const std::string& text) {
 }
 
 /// Where a report's numbers came from: the machine, the build and the
-/// OTAC_SCALE in effect. Numbers without it cannot be compared.
-inline std::string provenance_json() {
+/// workload scale the bench ran at. Numbers without it cannot be compared.
+inline std::string provenance_json(double scale) {
   std::string cpu_model = "unknown";
   std::ifstream cpuinfo("/proc/cpuinfo");
   for (std::string line; std::getline(cpuinfo, line);) {
@@ -85,19 +85,22 @@ inline std::string provenance_json() {
          ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
          ", \"compiler\": " + json_string(compiler) +
          ", \"build_type\": " + json_string(OTAC_BUILD_TYPE) +
-         ", \"otac_scale\": " + std::to_string(global_scale()) + "}";
+         ", \"otac_scale\": " + std::to_string(scale) + "}";
 }
 
 /// One JSON object per finished cell, preformatted by the bench.
 struct Report {
   std::string bench;
   int reps = 1;
+  /// The workload scale stamped as provenance otac_scale; a bench scaled
+  /// by anything other than OTAC_SCALE overrides it.
+  double scale = global_scale();
   std::vector<std::string> cells;
 
   void write(const std::string& path) const {
     std::ofstream out(path);
     out << "{\n  \"bench\": \"" << bench << "\",\n  \"reps\": " << reps
-        << ",\n  \"provenance\": " << provenance_json()
+        << ",\n  \"provenance\": " << provenance_json(scale)
         << ",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       out << "    " << cells[i] << (i + 1 < cells.size() ? ",\n" : "\n");

@@ -38,14 +38,8 @@ otac_add_bench(micro_classifier)
 otac_add_bench(micro_cache_ops)
 otac_add_bench(micro_obs_overhead)
 
-# Chaos-schedule replay report (tools/chaos): a behavior gate, not a
-# timing contest — BENCH_chaos.json records completion/recovery/shed-rate
-# per builtin fault scenario.
-otac_add_bench(micro_chaos_replay)
-target_link_libraries(micro_chaos_replay PRIVATE otac_chaos)
-
-# Scenario-matrix report (src/scenario): every registered adapter +
-# adversarial scenario across Original/Proposal — BENCH_scenarios.json is
+# Scenario report (src/scenario): every registered adapter, adversarial
+# and fault scenario across Original/Proposal — BENCH_scenarios.json is
 # the artifact `scripts/ci.sh scenarios` gates against checked-in
 # envelopes (tools/envelope_gate).
 otac_add_bench(micro_scenarios)

@@ -11,22 +11,21 @@
 #                (failpoints, crash-safe checkpointing, crash recovery)
 #   concurrency  TSan over the `concurrency` ctest label
 #                (sharded stress + determinism)
-#   chaos        chaos-schedule gate: the `chaos` ctest label (builtin
-#                fault scenarios, tools/chaos) under ASan+UBSan *and*
-#                TSan, then the replay report binary emits
-#                BENCH_chaos.json (exits nonzero if any scenario fails
-#                to complete, recover, or keep shedding bounded) and the
-#                envelope gate checks its schema
 #   bench-smoke  reduced-iteration micro-bench pass (OTAC_SCALE, default
-#                0.02) that emits the BENCH_*.json reports and checks
-#                their schema with the envelope gate
-#   scenarios    scenario-matrix regression gate: micro_scenarios replays
-#                every registered scenario (src/scenario) at full scale
-#                through Original and Proposal admission, emits
-#                BENCH_scenarios.json, and tools/envelope_gate validates
-#                every cell against the checked-in tolerance envelopes
-#                (hit rate, write count, shed ceiling, p99) after its
-#                own self-test proves it can fail
+#                0.02; the scenario report at 0.2) that emits the
+#                BENCH_*.json reports and checks their schema with the
+#                envelope gate
+#   scenarios    scenario and fault-schedule gate: the envelope gate's
+#                self-test, the `chaos` ctest label (the registry's fault
+#                scenarios) under ASan+UBSan and under TSan, then the
+#                ASan micro_scenarios replays every registered scenario
+#                (src/scenario) at scale 1.0 through Original and
+#                Proposal admission, emits BENCH_scenarios.json (exits
+#                nonzero if a replay is incomplete, a checkpoint store
+#                does not recover or a golden run differs), and
+#                tools/envelope_gate validates every cell against the
+#                checked-in envelopes (hit rate, write count, shed
+#                ceiling, p99)
 #   daemon       serving-daemon smoke gate: otacd replays the pinned
 #                bench workload behind real loopback sockets while
 #                otac_loadgen offers the trace open-loop, the resulting
@@ -83,42 +82,12 @@ case "$JOB" in
     echo "concurrency suite clean under TSan"
     ;;
 
-  chaos)
-    # Both sanitizers on purpose: ASan+UBSan catches lifetime bugs on the
-    # fault paths (abandoned retrains, checkpoint retries), TSan
-    # race-checks the watchdog worker and the mid-serve checkpointer
-    # thread. The build dirs match the robustness/concurrency jobs so
-    # local runs and CI share their caches.
-    ASAN_DIR="${BUILD_DIR:-build-asan}"
-    TSAN_DIR="${BUILD_DIR:+$BUILD_DIR-tsan}"
-    TSAN_DIR="${TSAN_DIR:-build-tsan}"
-    cmake -B "$ASAN_DIR" -S . -DOTAC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build "$ASAN_DIR" --target test_chaos micro_chaos_replay -j"$(nproc)"
-    ctest --test-dir "$ASAN_DIR" -L chaos --output-on-failure -j"$(nproc)"
-    echo "chaos suite clean under ASan+UBSan"
-    cmake -B "$TSAN_DIR" -S . -DOTAC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build "$TSAN_DIR" --target test_chaos -j"$(nproc)"
-    ctest --test-dir "$TSAN_DIR" -L chaos --output-on-failure -j"$(nproc)"
-    echo "chaos suite clean under TSan"
-    # The replay report is the artifact: micro_chaos_replay runs every
-    # builtin scenario at a reduced trace scale and exits nonzero unless
-    # each one completes, recovers, and keeps shedding bounded. Running
-    # the ASan binary keeps the gate honest about fault-path lifetimes.
-    mkdir -p "$ASAN_DIR/bench-smoke"
-    "$ASAN_DIR/bench/micro_chaos_replay" \
-      "$ASAN_DIR/bench-smoke/BENCH_chaos.json" "${OTAC_CHAOS_SCALE:-0.05}"
-    python3 tools/envelope_gate/envelope_gate.py \
-      tools/envelope_gate/envelopes.json \
-      "$ASAN_DIR/bench-smoke/BENCH_chaos.json"
-    echo "chaos gate passed; report in $ASAN_DIR/bench-smoke/BENCH_chaos.json"
-    ;;
-
   bench-smoke)
     BUILD_DIR="${BUILD_DIR:-build}"
     cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build "$BUILD_DIR" -j"$(nproc)" \
       --target micro_cache_ops micro_classifier micro_obs_overhead \
-               micro_chaos_replay micro_scenarios
+               micro_scenarios
     mkdir -p "$BUILD_DIR/bench-smoke"
     (
       cd "$BUILD_DIR/bench-smoke"
@@ -126,12 +95,10 @@ case "$JOB" in
       ../bench/micro_cache_ops BENCH_cache_ops.json
       ../bench/micro_classifier BENCH_classifier.json
       ../bench/micro_obs_overhead BENCH_obs_overhead.json
-      # Chaos replay report: a behavior gate (completion/recovery/shed
-      # rate per fault scenario), self-failing on any scenario miss.
-      ../bench/micro_chaos_replay BENCH_chaos.json 0.05
-      # Scenario matrix at a smoke scale (its windows are calibrated at
-      # scale 1.0 — the `scenarios` job owns that gate).
-      ../bench/micro_scenarios BENCH_scenarios.json 0.2
+      # Scenario report at a smoke scale, self-failing on any failed cell
+      # (its windows are calibrated at scale 1.0 — the `scenarios` job
+      # owns that gate).
+      OTAC_SCALE=0.2 ../bench/micro_scenarios BENCH_scenarios.json
     )
     # Schema gate: a report that does not parse, silently emitted zero
     # cells, dropped the keys the perf notes read or carries no
@@ -144,28 +111,42 @@ case "$JOB" in
     ;;
 
   scenarios)
-    BUILD_DIR="${BUILD_DIR:-build}"
-    cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build "$BUILD_DIR" --target micro_scenarios -j"$(nproc)"
-    mkdir -p "$BUILD_DIR/bench-smoke"
+    # Both sanitizers on purpose: ASan+UBSan catches lifetime bugs on the
+    # fault paths (abandoned retrains, checkpoint retries), TSan
+    # race-checks the watchdog worker and the mid-serve checkpointer
+    # thread. The build dirs match the robustness/concurrency jobs so
+    # local runs and CI share their caches.
+    ASAN_DIR="${BUILD_DIR:-build-asan}"
+    TSAN_DIR="${BUILD_DIR:+$BUILD_DIR-tsan}"
+    TSAN_DIR="${TSAN_DIR:-build-tsan}"
     # Self-test first: the injected regressions must fail, so a gate that
     # cannot fail cannot pass the job.
     python3 tools/envelope_gate/envelope_gate_test.py
     echo "envelope gate self-test passed (regression fixtures fail as required)"
-    # Full-scale replay: the envelopes are calibrated at scale 1.0 with
-    # the bench's pinned seed, so the run is deterministic and the gate's
-    # windows are drift, not noise. micro_scenarios itself exits nonzero
-    # if any replay is incomplete.
-    "$BUILD_DIR/bench/micro_scenarios" \
-      "$BUILD_DIR/bench-smoke/BENCH_scenarios.json" \
-      "${OTAC_SCENARIO_SCALE:-1.0}"
+    cmake -B "$ASAN_DIR" -S . -DOTAC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    cmake --build "$ASAN_DIR" --target test_chaos micro_scenarios -j"$(nproc)"
+    ctest --test-dir "$ASAN_DIR" -L chaos --output-on-failure -j"$(nproc)"
+    echo "chaos suite clean under ASan+UBSan"
+    cmake -B "$TSAN_DIR" -S . -DOTAC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    cmake --build "$TSAN_DIR" --target test_chaos -j"$(nproc)"
+    ctest --test-dir "$TSAN_DIR" -L chaos --output-on-failure -j"$(nproc)"
+    echo "chaos suite clean under TSan"
+    # Scale 1.0 with the bench's pinned seed: every deterministic cell
+    # equals the Release numbers the envelopes were calibrated on, so the
+    # gate's windows are drift, not noise. Running the ASan binary keeps
+    # the fault paths honest about lifetimes; micro_scenarios exits
+    # nonzero on any failed cell.
+    mkdir -p "$ASAN_DIR/bench-smoke"
+    OTAC_SCALE=1.0 "$ASAN_DIR/bench/micro_scenarios" \
+      "$ASAN_DIR/bench-smoke/BENCH_scenarios.json"
     # The regression gate proper: per-(scenario, mode) windows on hit
     # rate, write count, shed ceiling, and p99. Fails on any cell outside
-    # its envelope or any scenario missing from either side.
+    # its envelope, any scenario missing from either side, or a report
+    # run at another scale.
     python3 tools/envelope_gate/envelope_gate.py \
       tools/envelope_gate/envelopes.json \
-      "$BUILD_DIR/bench-smoke/BENCH_scenarios.json"
-    echo "scenario gate passed; report in $BUILD_DIR/bench-smoke/BENCH_scenarios.json"
+      "$ASAN_DIR/bench-smoke/BENCH_scenarios.json"
+    echo "scenario gate passed; report in $ASAN_DIR/bench-smoke/BENCH_scenarios.json"
     ;;
 
   daemon)
@@ -298,7 +279,7 @@ case "$JOB" in
     ;;
 
   *)
-    echo "usage: scripts/ci.sh {build|robustness|concurrency|chaos|bench-smoke|scenarios|daemon|lint|analyze|format} [build-dir]" >&2
+    echo "usage: scripts/ci.sh {build|robustness|concurrency|bench-smoke|scenarios|daemon|lint|analyze|format} [build-dir]" >&2
     exit 2
     ;;
 esac

@@ -66,8 +66,6 @@ class OracleAdmission final : public AdmissionPolicy {
   }
   [[nodiscard]] std::string name() const override { return "ideal"; }
 
-  [[nodiscard]] double threshold() const noexcept { return threshold_; }
-
  private:
   const NextAccessInfo* oracle_;
   double threshold_;

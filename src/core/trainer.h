@@ -94,7 +94,6 @@ class DailyTrainer {
   [[nodiscard]] std::size_t sample_count() const noexcept {
     return samples_.size();
   }
-  [[nodiscard]] double cost_v() const noexcept { return cost_v_; }
 
   // --- checkpointing ---------------------------------------------------
   [[nodiscard]] const std::deque<TrainingSample>& samples() const noexcept {

@@ -1,9 +1,18 @@
 #include "scenario/registry.h"
 
+#include <stdlib.h>  // mkdtemp
+
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <filesystem>
+#include <optional>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <utility>
 
+#include "core/checkpoint.h"
 #include "scenario/cloud_block.h"
 #include "scenario/rocksdb_trace.h"
 #include "scenario/scenario_names.h"
@@ -15,16 +24,27 @@ namespace otac::scenario {
 
 namespace {
 
-/// Scale of the synthetic photo base trace the adversarial scenarios carve
-/// up, relative to the paper-sized default config, at scenario scale 1.0.
+/// Scale of the synthetic photo base trace the adversarial and fault
+/// scenarios replay, relative to the paper-sized default config, at
+/// scenario scale 1.0.
 constexpr double kBaseScale = 0.05;
 
-[[nodiscard]] fail::Spec window_spec(std::uint64_t from, std::uint64_t to) {
-  fail::Spec spec;
-  spec.trigger = fail::Trigger::window;
-  spec.from = from;
-  spec.to = to;
-  return spec;
+// --- Self-clearing failpoint triggers -------------------------------------
+
+[[nodiscard]] fail::Spec window(std::uint64_t from, std::uint64_t to) {
+  return {.trigger = fail::Trigger::window, .from = from, .to = to};
+}
+
+[[nodiscard]] fail::Spec once() { return {.trigger = fail::Trigger::once}; }
+
+[[nodiscard]] fail::Spec every_nth(std::uint64_t n) {
+  return {.trigger = fail::Trigger::every_nth, .n = n};
+}
+
+/// Sub-millisecond backoff so fault replays spend their time serving, not
+/// sleeping between retries.
+[[nodiscard]] BackoffConfig fast_backoff() {
+  return {.base_s = 1e-6, .cap_s = 1e-4};
 }
 
 /// Append a photo cloned from / shaped like `meta`, keeping latent_score
@@ -37,7 +57,8 @@ PhotoId append_photo(Trace& trace, const PhotoMeta& meta) {
 
 // --- Adversarial trace builders -------------------------------------------
 
-Trace make_flash_crowd_trace(std::uint64_t seed, double scale) {
+/// The unmodified base trace: flash_crowd and the fault schedules replay it.
+Trace make_base_trace(std::uint64_t seed, double scale) {
   return generate_default_trace(kBaseScale * scale, seed);
 }
 
@@ -210,43 +231,88 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
 
 // --- Specs ----------------------------------------------------------------
 
-[[nodiscard]] ScenarioSpec make_churn_purge() {
+/// A spec with the default configuration: no faults, 4 shards, one worker
+/// per shard, capacity 2% of the object bytes.
+[[nodiscard]] ScenarioSpec basic_spec(std::string name,
+                                      std::string description,
+                                      Trace (*make_trace)(std::uint64_t,
+                                                          double)) {
   ScenarioSpec s;
-  s.name = "churn_purge";
-  s.description =
-      "generational key churn: cohorts go hot, get purged, never return";
-  s.make_trace = &make_churn_purge_trace;
+  s.name = std::move(name);
+  s.description = std::move(description);
+  s.make_trace = make_trace;
   return s;
 }
 
-[[nodiscard]] ScenarioSpec make_cloud_block() {
-  ScenarioSpec s;
-  s.name = "cloud_block";
-  s.description =
-      "cloud block-storage volumes: long sequential runs of large blocks "
-      "over a small hot random-I/O set";
-  s.make_trace = &make_cloud_block_trace;
+/// A checkpointer thread cycles save/load against scripted corruption
+/// while all shards keep serving: the registry, the retry loop and the
+/// generation fallback all cross threads here.
+[[nodiscard]] ScenarioSpec make_checkpoint_corruption() {
+  ScenarioSpec s = basic_spec(
+      "checkpoint_corruption_mid_serve",
+      "checkpoint save/load cycles absorb scripted corruption while the "
+      "sharded replay keeps serving",
+      &make_base_trace);
+  // Distinct early windows per crash surface: the first cycles hit faults
+  // (bounded retries absorb them), later cycles run clean.
+  s.faults.push_back({"checkpoint.write.open_fail", window(1, 1)});
+  s.faults.push_back({"checkpoint.write.bitflip", window(2, 3)});
+  s.faults.push_back({"checkpoint.write.torn", window(4, 4)});
+  s.faults.push_back({"checkpoint.rotate.fail", window(3, 3)});
+  s.faults.push_back({"checkpoint.rename.fail", window(5, 5)});
+  s.faults.push_back({"checkpoint.write.crash", window(6, 6)});
+  s.faults.push_back({"checkpoint.load.io", window(1, 2)});
+  s.resilience.checkpoint.max_retries = 6;
+  s.resilience.checkpoint.backoff = fast_backoff();
+  s.checkpoint = CheckpointPhase::during_replay;
   return s;
 }
 
-[[nodiscard]] ScenarioSpec make_diurnal_shift() {
-  ScenarioSpec s;
-  s.name = "diurnal_shift";
-  s.description =
-      "mid-trace +8h phase shift invalidates the learned access-hour "
-      "feature";
-  s.make_trace = &make_diurnal_shift_trace;
+/// Every registered failpoint armed with a self-clearing trigger, plus the
+/// full resilience layer to absorb them. The checkpoint.* names only
+/// evaluate inside CheckpointManager, hence the after-replay round-trips.
+[[nodiscard]] ScenarioSpec make_failpoint_storm() {
+  ScenarioSpec s = basic_spec(
+      "failpoint_storm",
+      "every registered failpoint fires at least once; the replay and a "
+      "checkpoint round-trip complete and fully recover",
+      &make_base_trace);
+  // Barrier 1: two throwing attempts, then a 250ms hang, then success —
+  // watchdog retries (inline) absorb all three.
+  s.faults.push_back({"trainer.train.fail", window(1, 2)});
+  s.faults.push_back({"trainer.train.hang", window(1, 1)});
+  // Serving-path faults: an SSD-write burst (consecutive evaluations both
+  // exhaust the per-insert retry budget and then clear) and periodic
+  // flash-crowd injections large enough to shed the injecting request.
+  s.faults.push_back({"storage.ssd.write_error", window(50, 60)});
+  s.faults.push_back({"chaos.flash_crowd", every_nth(997)});
+  // One transient fault per checkpoint crash surface; the save retry
+  // budget below outlasts the five throwing sites.
+  for (const char* name :
+       {"checkpoint.write.bitflip", "checkpoint.write.open_fail",
+        "checkpoint.write.torn", "checkpoint.write.crash",
+        "checkpoint.rotate.fail", "checkpoint.rename.fail",
+        "checkpoint.load.io"}) {
+    s.faults.push_back({name, once()});
+  }
+  s.resilience.overload.enabled = true;
+  s.resilience.overload.flash_crowd_burst = 150.0;
+  s.resilience.watchdog.max_retries = 3;
+  s.resilience.watchdog.backoff = fast_backoff();
+  s.resilience.checkpoint.max_retries = 8;
+  s.resilience.checkpoint.backoff = fast_backoff();
+  s.resilience.ssd_write_max_retries = 2;
+  s.checkpoint = CheckpointPhase::after_replay;
   return s;
 }
 
 [[nodiscard]] ScenarioSpec make_flash_crowd() {
-  ScenarioSpec s;
-  s.name = "flash_crowd";
-  s.description =
+  ScenarioSpec s = basic_spec(
+      "flash_crowd",
       "chaos.flash_crowd bursts drive a shard through degraded admission "
-      "into bounded load shedding";
-  s.make_trace = &make_flash_crowd_trace;
-  s.faults.push_back({"chaos.flash_crowd", window_spec(1'500, 1'502)});
+      "into bounded load shedding",
+      &make_base_trace);
+  s.faults.push_back({"chaos.flash_crowd", window(1'500, 1'502)});
   s.resilience.overload.enabled = true;
   s.resilience.overload.service_rate_per_s = 0.5;
   s.resilience.overload.flash_crowd_burst = 150.0;
@@ -254,45 +320,74 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
   return s;
 }
 
-[[nodiscard]] ScenarioSpec make_rocksdb_blockcache() {
-  ScenarioSpec s;
-  s.name = "rocksdb_blockcache";
-  s.description =
-      "RocksDB block-cache record stream (Zipf point reads + compaction "
-      "scans) through the adapter";
-  s.make_trace = &make_rocksdb_trace;
+/// A mid-schedule retrain hangs past the threaded watchdog's timeout: the
+/// barrier abandons it (shards serve the last-good model) and the replay
+/// keeps going. The window sits at the third trigger so the first two
+/// barriers train clean whatever the wall clock does.
+[[nodiscard]] ScenarioSpec make_retrain_hang() {
+  ScenarioSpec s = basic_spec(
+      "retrain_hang",
+      "a hung retrain is abandoned by the threaded watchdog; earlier "
+      "barriers train clean and serving never stalls",
+      &make_base_trace);
+  s.faults.push_back({"trainer.train.hang", window(3, 3)});
+  // The hang failpoint sleeps 250ms; a 200ms timeout abandons it while
+  // still dwarfing a clean fit (sanitizers included).
+  s.resilience.watchdog.timeout_s = 0.2;
   return s;
 }
 
-[[nodiscard]] ScenarioSpec make_scan_flood() {
-  ScenarioSpec s;
-  s.name = "scan_flood";
-  s.description =
-      "periodic sequential scans stream large one-time objects through the "
-      "hot set";
-  s.make_trace = &make_scan_flood_trace;
-  return s;
-}
-
-[[nodiscard]] ScenarioSpec make_shard_failover() {
-  ScenarioSpec s;
-  s.name = "shard_failover";
-  s.description =
-      "mid-trace shard failure re-keys one shard's working set cold across "
-      "the survivors";
-  s.make_trace = &make_shard_failover_trace;
+/// One retrain throws once; a single watchdog retry reproduces the exact
+/// tree (the failpoint sits before any trainer state mutation).
+[[nodiscard]] ScenarioSpec make_retrain_transient() {
+  ScenarioSpec s = basic_spec(
+      "retrain_transient",
+      "transient trainer failure absorbed by one watchdog retry; replay "
+      "bit-identical to the fault-free golden",
+      &make_base_trace);
+  s.faults.push_back({"trainer.train.fail", once()});
+  s.resilience.watchdog.max_retries = 2;
+  s.resilience.watchdog.backoff = fast_backoff();
+  s.golden_identical = true;
   return s;
 }
 
 [[nodiscard]] std::vector<ScenarioSpec> build_all() {
   std::vector<ScenarioSpec> specs;
-  specs.push_back(make_churn_purge());
-  specs.push_back(make_cloud_block());
-  specs.push_back(make_diurnal_shift());
+  specs.push_back(make_checkpoint_corruption());
+  specs.push_back(basic_spec(
+      "churn_purge",
+      "generational key churn: cohorts go hot, get purged, never return",
+      &make_churn_purge_trace));
+  specs.push_back(basic_spec(
+      "cloud_block",
+      "cloud block-storage volumes: long sequential runs of large blocks "
+      "over a small hot random-I/O set",
+      &make_cloud_block_trace));
+  specs.push_back(basic_spec(
+      "diurnal_shift",
+      "mid-trace +8h phase shift invalidates the learned access-hour "
+      "feature",
+      &make_diurnal_shift_trace));
+  specs.push_back(make_failpoint_storm());
   specs.push_back(make_flash_crowd());
-  specs.push_back(make_rocksdb_blockcache());
-  specs.push_back(make_scan_flood());
-  specs.push_back(make_shard_failover());
+  specs.push_back(make_retrain_hang());
+  specs.push_back(make_retrain_transient());
+  specs.push_back(basic_spec(
+      "rocksdb_blockcache",
+      "RocksDB block-cache record stream (Zipf point reads + compaction "
+      "scans) through the adapter",
+      &make_rocksdb_trace));
+  specs.push_back(basic_spec(
+      "scan_flood",
+      "periodic sequential scans stream large one-time objects through the "
+      "hot set",
+      &make_scan_flood_trace));
+  specs.push_back(basic_spec(
+      "shard_failover",
+      "mid-trace shard failure re-keys one shard's working set cold across "
+      "the survivors",
+      &make_shard_failover_trace));
 
   // Registry cross-check: the spec list and scenario_names.h must agree
   // exactly (same names, same order), so a rename breaks loudly here and
@@ -373,20 +468,87 @@ RunConfig ScenarioRunner::config(AdmissionMode mode) const {
   return config;
 }
 
-RunResult ScenarioRunner::run_with(const RunConfig& config) const {
+bool ScenarioRun::golden_identical() const {
+  return !golden || (result.stats == golden->stats &&
+                     result.daily == golden->daily &&
+                     result.trainings == golden->trainings);
+}
+
+ScenarioRun ScenarioRunner::run_with(const RunConfig& config) const {
   fail::Registry& registry = fail::Registry::instance();
+  ScenarioRun run;
+  if (spec_->golden_identical) {
+    registry.disable_all();
+    run.golden = sharded_.run(config);
+  }
+
+  // A scratch store in a fresh directory (concurrent test processes run
+  // the same specs); its snapshot content is arbitrary, only whether the
+  // store survives the faults matters.
+  std::optional<CheckpointManager> store;
+  std::string store_dir;
+  if (spec_->checkpoint != CheckpointPhase::none) {
+    store_dir = (std::filesystem::temp_directory_path() /
+                 ("otac_scenario_" + spec_->name + "_XXXXXX"))
+                    .string();
+    if (::mkdtemp(store_dir.data()) == nullptr) {
+      throw std::system_error(errno, std::generic_category(), store_dir);
+    }
+    store.emplace(store_dir);
+    store->configure_retry(spec_->resilience.checkpoint);
+  }
+  ClassifierSnapshot snapshot;
+  snapshot.m = 1000.0;
+  snapshot.h = 0.5;
+  snapshot.p = 0.2;
+  snapshot.cost_v = 2.0;
+  const auto cycle = [&] {
+    (void)store->save_with_retry(snapshot);
+    (void)store->load_with_retry();
+    ++run.checkpoint_cycles;
+  };
+
   registry.disable_all();
   // enable() rearms from scratch (hit/fire counters reset), so repeated
-  // runs see the exact same trigger schedule — bit-identical replays.
+  // runs see the exact same trigger schedule.
   for (const ScenarioFault& fault : spec_->faults) {
     registry.enable(fault.failpoint, fault.spec);  // throws on unknown name
   }
-  RunResult result = sharded_.run(config);
+  {
+    std::jthread checkpointer;
+    if (spec_->checkpoint == CheckpointPhase::during_replay) {
+      checkpointer = std::jthread([&](const std::stop_token& stop) {
+        while (!stop.stop_requested()) {
+          cycle();
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    }
+    run.result = sharded_.run(config);
+  }  // stops and joins the checkpointer
+  if (spec_->checkpoint == CheckpointPhase::after_replay) {
+    // Two cycles: rotation (current -> previous) needs an existing current
+    // generation, so the rotate failpoint only evaluates on the second.
+    cycle();
+    cycle();
+  }
+  for (const ScenarioFault& fault : spec_->faults) {
+    run.failpoint_fires += registry.fires(fault.failpoint);
+  }
   registry.disable_all();
-  return result;
+
+  if (store) {
+    // Faults cleared: a clean save must land a current generation that
+    // loads as such. A manager driven read-only fails this on purpose.
+    const bool saved = store->save_with_retry(snapshot);
+    run.checkpoint_recovered =
+        saved && store->load_with_retry().origin == CheckpointOrigin::current;
+    std::filesystem::remove_all(store_dir);
+  }
+  return run;
 }
 
-RunResult ScenarioRunner::run(AdmissionMode mode) const {
+ScenarioRun ScenarioRunner::run(AdmissionMode mode) const {
   return run_with(config(mode));
 }
 

@@ -1,6 +1,6 @@
 // Scenario registry: turn a registered name into a ready-to-replay Trace
-// plus the configuration (faults, resilience, sharding, capacity) for the
-// run. Two scenario families:
+// plus the configuration (faults, resilience, sharding, capacity,
+// checkpoint phase) for the run. Three scenario families:
 //
 //   adapters     — workloads the synthetic photo generator cannot produce:
 //                  a RocksDB block-cache record stream (rocksdb_trace.h)
@@ -10,7 +10,12 @@
 //                  flash crowd (the chaos.flash_crowd fluid overload),
 //                  sequential scan flood, key churn/retention purge,
 //                  diurnal phase shift, and a shard-failover key
-//                  redistribution replay.
+//                  redistribution replay;
+//   fault        — fault schedules over the unmodified base trace (every
+//                  failpoint at once, a transient and a hung retrain,
+//                  checkpoint corruption while serving): each run must
+//                  complete and recover, failing toward conservative
+//                  admission.
 //
 // Names are registry-pinned: every spec's name must appear in
 // scenario_names.h (all() cross-checks at first use and throws otherwise),
@@ -20,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,12 +36,18 @@
 
 namespace otac::scenario {
 
-/// One armed failpoint (name + trigger), as in the chaos harness. All
-/// registered scenarios use self-clearing triggers.
+/// One armed failpoint (name + trigger). Every registered scenario uses
+/// self-clearing triggers (window / once / every_nth, never `always`), so
+/// faults clear and recovery is observable.
 struct ScenarioFault {
   std::string failpoint;
   fail::Spec spec{};
 };
+
+/// When a run cycles a scratch checkpoint store, so the checkpoint.*
+/// failpoints evaluate: never, in two save/load round-trips after the
+/// replay, or on a checkpointer thread concurrent with the serving shards.
+enum class CheckpointPhase { none, after_replay, during_replay };
 
 struct ScenarioSpec {
   std::string name;
@@ -46,11 +58,17 @@ struct ScenarioSpec {
   std::vector<ScenarioFault> faults;
   ResilienceConfig resilience{};
   std::size_t shards = 4;
-  /// 0 = one worker per shard; scenarios with per-request failpoints pin 1
-  /// so the evaluation order is a pure function of the trace.
+  /// 0 = one worker per shard. 1 makes the evaluation order of per-request
+  /// failpoints a pure function of the trace (flash_crowd); the storm keeps
+  /// 0, so its Proposal run depends on thread interleaving.
   std::size_t threads = 0;
   /// Cache capacity as a fraction of the workload's total object bytes.
   double capacity_fraction = 0.02;
+  CheckpointPhase checkpoint = CheckpointPhase::none;
+  /// The faulty replay must be bit-identical (stats including the
+  /// eviction hash, daily matrices, trainings) to a fault-free replay of
+  /// the same configuration, which run() then performs first.
+  bool golden_identical = false;
 };
 
 /// All registered scenarios, name-sorted — same order and names as
@@ -60,6 +78,22 @@ struct ScenarioSpec {
 
 /// Lookup by name; throws std::invalid_argument listing the known names.
 [[nodiscard]] const ScenarioSpec& find(std::string_view name);
+
+/// One run: the faulty replay plus what the runner observed around it.
+struct ScenarioRun {
+  RunResult result;
+  /// The fault-free replay; set only for golden_identical specs.
+  std::optional<RunResult> golden;
+  /// Total fires across the spec's armed failpoints.
+  std::uint64_t failpoint_fires = 0;
+  std::uint64_t checkpoint_cycles = 0;
+  /// After the faults cleared, a clean save + load landed a current
+  /// generation (true when the spec cycles no checkpoint store).
+  bool checkpoint_recovered = true;
+
+  /// True unless a golden replay was run and differs.
+  [[nodiscard]] bool golden_identical() const;
+};
 
 /// The per-(scenario, mode) numbers exported to BENCH_scenarios.json and
 /// gated by tools/envelope_gate.
@@ -78,9 +112,12 @@ struct ScenarioMetrics {
 [[nodiscard]] ScenarioMetrics summarize(const RunResult& result);
 
 /// Owns one scenario's workload (trace + oracle + memoized hit-rate
-/// estimate) and replays it. Construction is the expensive part; run()
-/// arms the spec's failpoints, replays, and disarms — arming resets fire
-/// counters, so repeated run() calls are bit-identical.
+/// estimate) and replays it. Construction is the expensive part. run()
+/// replays fault-free first for a golden_identical spec, then arms the
+/// spec's failpoints, replays (with the checkpointer thread for
+/// during_replay), cycles the store for after_replay, sums the fires,
+/// disarms and checks that the store recovered. Arming resets fire
+/// counters, so repeated runs of a deterministic spec are bit-identical.
 class ScenarioRunner {
  public:
   ScenarioRunner(const ScenarioSpec& spec, std::uint64_t seed, double scale);
@@ -88,12 +125,12 @@ class ScenarioRunner {
   ScenarioRunner(const ScenarioRunner&) = delete;
   ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
-  [[nodiscard]] RunResult run(AdmissionMode mode) const;
+  [[nodiscard]] ScenarioRun run(AdmissionMode mode) const;
 
   /// The replay configuration run() uses; exposed so tests can rerun the
   /// same workload with overridden sharding.
   [[nodiscard]] RunConfig config(AdmissionMode mode) const;
-  [[nodiscard]] RunResult run_with(const RunConfig& config) const;
+  [[nodiscard]] ScenarioRun run_with(const RunConfig& config) const;
 
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return *spec_; }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }

@@ -16,8 +16,17 @@
 namespace otac::scenario {
 
 inline constexpr std::string_view kKnownScenarios[] = {
-    "churn_purge",      "cloud_block",    "diurnal_shift", "flash_crowd",
-    "rocksdb_blockcache", "scan_flood",   "shard_failover",
+    "checkpoint_corruption_mid_serve",
+    "churn_purge",
+    "cloud_block",
+    "diurnal_shift",
+    "failpoint_storm",
+    "flash_crowd",
+    "retrain_hang",
+    "retrain_transient",
+    "rocksdb_blockcache",
+    "scan_flood",
+    "shard_failover",
 };
 
 [[nodiscard]] constexpr bool is_known_scenario(std::string_view name) {

@@ -7,8 +7,11 @@
 //    eviction-sequence fingerprint), criteria, daily matrices, trainings,
 //    and degradation counters, so one EXPECT per (scenario, mode);
 //  - shards=1 vs shards=4 are sum-equivalent per scenario: same request
-//    count, coherent hits+insertions+rejected accounting on both, and
-//    identical global admission criteria.
+//    count, hits + insertions + rejected + refused == requests exactly on
+//    both, and identical global admission criteria.
+//
+// Two Proposal runs depend on thread timing and skip the bit-identity and
+// trainings-equality checks (timing_dependent() below says why).
 #include "scenario/registry.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +25,18 @@ namespace {
 
 constexpr std::uint64_t kSeed = 42;
 constexpr double kScale = 0.1;  // small replica of the CI-scale workloads
+
+/// Proposal runs whose result depends on thread timing, not only on the
+/// trace: failpoint_storm evaluates per-request failpoints on 4 workers,
+/// so which requests the every_nth / window triggers hit depends on thread
+/// interleaving; retrain_hang races a 0.2 s watchdog timeout against a
+/// 0.25 s hang, so how many later barriers find the trainer busy depends
+/// on how fast the replay runs. Original mode evaluates neither.
+[[nodiscard]] bool timing_dependent(const ScenarioSpec& spec,
+                                    AdmissionMode mode) {
+  return mode == AdmissionMode::proposal &&
+         (spec.name == "failpoint_storm" || spec.name == "retrain_hang");
+}
 
 TEST(ScenarioRegistry, NamesMatchPinnedRegistry) {
   const std::vector<ScenarioSpec>& specs = all();
@@ -81,8 +96,13 @@ TEST(ScenarioRegistry, EveryScenarioReplaysBitIdentically) {
     const ScenarioRunner runner{spec, kSeed, kScale};
     for (const AdmissionMode mode :
          {AdmissionMode::original, AdmissionMode::proposal}) {
-      const RunResult first = runner.run(mode);
-      const RunResult second = runner.run(mode);
+      const RunResult first = runner.run(mode).result;
+      const RunResult second = runner.run(mode).result;
+      EXPECT_EQ(first.stats.requests, runner.trace().requests.size());
+      if (mode == AdmissionMode::proposal) {
+        EXPECT_GT(first.trainings, 0) << spec.name;
+      }
+      if (timing_dependent(spec, mode)) continue;
       EXPECT_TRUE(first == second)
           << spec.name << '/' << admission_mode_name(mode)
           << ": hits " << first.stats.hits << " vs " << second.stats.hits
@@ -90,10 +110,6 @@ TEST(ScenarioRegistry, EveryScenarioReplaysBitIdentically) {
           << second.stats.eviction_hash << ", shed "
           << first.degradation.shed_requests << " vs "
           << second.degradation.shed_requests;
-      EXPECT_EQ(first.stats.requests, runner.trace().requests.size());
-      if (mode == AdmissionMode::proposal) {
-        EXPECT_GT(first.trainings, 0) << spec.name;
-      }
     }
   }
 }
@@ -105,9 +121,9 @@ TEST(ScenarioRegistry, ShardCountsAreSumEquivalent) {
          {AdmissionMode::original, AdmissionMode::proposal}) {
       RunConfig config = runner.config(mode);
       config.shards = 1;
-      const RunResult one = runner.run_with(config);
+      const RunResult one = runner.run_with(config).result;
       config.shards = 4;
-      const RunResult four = runner.run_with(config);
+      const RunResult four = runner.run_with(config).result;
       const std::string label =
           spec.name + "/" + std::string{admission_mode_name(mode)};
       // Shard partitioning must conserve the request stream...
@@ -129,14 +145,16 @@ TEST(ScenarioRegistry, ShardCountsAreSumEquivalent) {
       // Admission criteria are global — independent of sharding.
       EXPECT_TRUE(one.criteria == four.criteria) << label;
       EXPECT_EQ(one.cost_v, four.cost_v) << label;
-      EXPECT_EQ(one.trainings, four.trainings) << label;
+      if (!timing_dependent(spec, mode)) {
+        EXPECT_EQ(one.trainings, four.trainings) << label;
+      }
     }
   }
 }
 
 TEST(ScenarioMetricsSummary, DerivedRatesMatchRawCounters) {
   const ScenarioRunner runner{find("churn_purge"), kSeed, kScale};
-  const RunResult result = runner.run(AdmissionMode::proposal);
+  const RunResult result = runner.run(AdmissionMode::proposal).result;
   const ScenarioMetrics metrics = summarize(result);
   EXPECT_EQ(metrics.requests, result.stats.requests);
   EXPECT_EQ(metrics.hits, result.stats.hits);

@@ -7,11 +7,12 @@ Every bench::Report (bench/bench_json.h) passes one schema check: a
 non-empty "bench", "reps" >= 1, a "provenance" with PROVENANCE_KEYS, and
 non-empty "cells", each carrying the keys REQUIRED lists for its bench
 and none reporting "ok": false. A bench with an entry in envelopes.json
-is then checked cell by cell: a cell's id is its "cell_id" fields joined
-by "/", a duplicate, missing or unexpected cell fails, and each envelope
-key is one rule on one metric -- "metric": n is exact, "metric": [lo, hi]
-a window, "max_metric"/"min_metric" a ceiling/floor, "metric_nonzero" a
-live hex fingerprint. A cell carrying "replies" (the daemon client) must
+must have run at the envelope's "scale" (provenance "otac_scale"), if it
+declares one, and is then checked cell by cell: a cell's id is its
+"cell_id" fields joined by "/", a duplicate, missing or unexpected cell
+fails, and each envelope key is one rule on one metric -- "metric": n is
+exact, "metric": [lo, hi] a window, "max_metric"/"min_metric" a
+ceiling/floor, "metric_nonzero" a live hex fingerprint. A cell carrying "replies" (the daemon client) must
 have answered every frame it sent: replies == requests + puts.
 
 Exit code 0 = pass, 1 = any violation, 2 = usage/IO error. When a
@@ -21,6 +22,7 @@ same commit.
 """
 
 import json
+import math
 import pathlib
 import sys
 
@@ -35,10 +37,10 @@ REQUIRED = {
     # obs_overhead ends with a summary cell ("ratio"/"bound"), so only the
     # key all its cells share is required.
     "obs_overhead": "cell",
-    "chaos_replay": "scenario requests completed failpoint_fires shed_rate "
-                    "ok",
     "scenarios": "scenario mode requests file_hit_rate byte_write_rate "
-                 "insertions shed_requests p99_latency_us ok",
+                 "insertions shed_requests p99_latency_us failpoint_fires "
+                 "retrain_retries retrain_timeouts checkpoint_recovered "
+                 "golden_identical ok",
     "daemon": "side requests",
     "daemon/client": "side requests puts replies hits admitted rejected shed "
                      "retries degraded errors wall_seconds offered_rps "
@@ -127,6 +129,12 @@ def check_report(report, envelopes):
         return errors
 
     envelope = envelopes.get(bench) if isinstance(bench, str) else None
+    if envelope and "scale" in envelope and isinstance(provenance, dict):
+        scale = provenance.get("otac_scale")
+        if not isinstance(scale, (int, float)) or not math.isclose(
+                scale, envelope["scale"], rel_tol=1e-6):
+            errors.append(f"provenance otac_scale = {scale!r} but the "
+                          f'envelope is calibrated at {envelope["scale"]}')
     seen = set()
     for i, cell in enumerate(cells):
         if not isinstance(cell, dict) or not cell:

@@ -130,6 +130,11 @@ class ScenarioGateTest(GateCase, unittest.TestCase):
         self.assertEqual(sorted(LIVE_ENVELOPES["scenarios"]["cells"]),
                          expected)
 
+    def test_mis_scaled_report_fails(self):
+        report = self.ok()
+        report["provenance"]["otac_scale"] = 0.2
+        self.assert_fails(report, "otac_scale = 0.2", "calibrated at 1.0")
+
     def test_envelope_windows_are_sane(self):
         self.assert_live_envelope_sane("scenarios")
         for rules in LIVE_ENVELOPES["scenarios"]["cells"].values():
@@ -194,6 +199,11 @@ class DaemonGateTest(GateCase, unittest.TestCase):
         report["cells"][1]["eviction_hash"] = "0x0000000000000000"
         self.assert_fails(report, "fingerprint dead")
 
+    def test_mis_scaled_report_fails(self):
+        report = self.ok()
+        report["provenance"]["otac_scale"] = 0.05
+        self.assert_fails(report, "otac_scale = 0.05", "calibrated at 1.0")
+
     def test_checked_in_envelopes_are_loadable(self):
         self.assert_live_envelope_sane("daemon")
         cells = LIVE_ENVELOPES["daemon"]["cells"]
@@ -208,7 +218,7 @@ class DaemonGateTest(GateCase, unittest.TestCase):
 
 
 class BenchGateTest(GateCase, unittest.TestCase):
-    ok_fixture = "chaos_ok.json"
+    ok_fixture = "cache_ops_ok.json"
 
     def test_empty_cells_fail(self):
         report = self.ok()
@@ -227,8 +237,8 @@ class BenchGateTest(GateCase, unittest.TestCase):
 
     def test_missing_schema_key_fails(self):
         report = self.ok()
-        del report["cells"][0]["shed_rate"]
-        self.assert_fails(report, "missing keys", "shed_rate")
+        del report["cells"][0]["hit_rate"]
+        self.assert_fails(report, "missing keys", "hit_rate")
 
     def test_missing_bench_name_fails(self):
         report = self.ok()
@@ -258,7 +268,7 @@ class BenchGateTest(GateCase, unittest.TestCase):
         sources = [*REPO.glob("bench/*.cpp"), *REPO.glob("tools/*/*.cpp")]
         benches = {bench for path in sources for bench in re.findall(
             r'report\.bench = "(\w+)"', path.read_text())}
-        self.assertEqual(len(benches), 6)
+        self.assertEqual(len(benches), 5)
         for bench in (*benches, "daemon/client", "daemon/server"):
             self.assertIn(bench, envelope_gate.REQUIRED)
 

@@ -98,10 +98,9 @@ ALLOWED_DEPS: dict[str, set[str]] = {
 
 # The consumer tier: leaf harness directories (executables and gate
 # tooling) that sit above every src/ module. They may include each other
-# freely (bench reuses tools/chaos, otac_loadgen reuses bench/bench_json)
-# — they are peers on one rank, not layers — so consumer<->consumer edges
-# are exempt from both the DAG check and cycle detection. src/ modules
-# remain strictly ordered.
+# freely (otac_loadgen reuses bench/bench_json) — they are peers on one
+# rank, not layers — so consumer<->consumer edges are exempt from both
+# the DAG check and cycle detection. src/ modules remain strictly ordered.
 CONSUMER_MODULES = {"bench", "examples", "tools", "tests"}
 
 

@@ -175,6 +175,7 @@ int run(const FlagParser& flags) {
   bench::Report report;
   report.bench = "daemon";
   report.reps = 1;
+  report.scale = scale;
   report.cells.push_back(client_cell(result));
   report.cells.push_back(server_cell(result.server));
   report.write(flags.get("out", std::string{"BENCH_daemon.json"}));
