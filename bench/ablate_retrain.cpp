@@ -115,7 +115,7 @@ int main() {
   const std::int64_t max_day = day_index(SimTime{trace.horizon.seconds - 1});
   std::vector<std::string> headers{"schedule"};
   for (std::int64_t d = 0; d <= max_day; ++d) {
-    headers.push_back("d" + std::to_string(d));
+    headers.push_back(std::string{"d"}.append(std::to_string(d)));
   }
   TablePrinter table{std::move(headers)};
 

@@ -5,8 +5,11 @@
 //
 // Runs the cells one at a time, so no cell times another's contention, and
 // writes a machine-readable report to BENCH_classifier.json (override with
-// argv[1]). Fit cells use a synthetic 8-feature dataset (deterministic
-// seeds) so fit-time numbers are comparable across machines and revisions.
+// argv[1]). Fit cells use synthetic datasets (deterministic seeds) so
+// fit-time numbers are comparable across machines and revisions: the
+// tree_fit_* cells an 8-feature continuous set, tree_fit_trainer_* one
+// shaped like the retrain barrier's training set.
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -29,7 +32,7 @@ ml::Dataset make_dataset(std::size_t rows, std::size_t features,
                          std::uint64_t seed) {
   std::vector<std::string> names;
   for (std::size_t f = 0; f < features; ++f) {
-    names.push_back("f" + std::to_string(f));
+    names.push_back(std::string{"f"}.append(std::to_string(f)));
   }
   ml::Dataset data{names};
   Rng rng{seed};
@@ -44,6 +47,38 @@ ml::Dataset make_dataset(std::size_t rows, std::size_t features,
         (score + static_cast<float>(rng.uniform_int(0, 40))) > 30.0F ? 1 : 0;
     data.add_row(row, label, 1.0F);
   }
+  return data;
+}
+
+/// Shaped like the daily trainer's set: nine features, seven of them
+/// integer-valued with the distinct-value counts of the trainer's features
+/// (2 up to ~4.5k levels) and two continuous; negatives carry the §4.4.1
+/// cost weight v = 2, uniform per class as in DailyTrainer::train.
+ml::Dataset make_trainer_dataset(std::size_t rows, std::uint64_t seed) {
+  constexpr std::int64_t kLevels[] = {2, 12, 24, 416, 452, 4474, 4483};
+  std::vector<std::string> names;
+  for (std::size_t f = 0; f < 9; ++f) {
+    names.push_back(std::string{"f"}.append(std::to_string(f)));
+  }
+  ml::Dataset data{names};
+  Rng rng{seed};
+  std::vector<float> row(9);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double score = 0.0;
+    for (std::size_t f = 0; f < 7; ++f) {
+      const std::int64_t level = rng.uniform_int(0, kLevels[f] - 1);
+      row[f] = static_cast<float>(level);
+      score += static_cast<double>(level) / static_cast<double>(kLevels[f]) *
+               (f % 2 == 0 ? 1.0 : -0.7);
+    }
+    const double a = rng.lognormal(0.0, 1.5);
+    const double b = rng.uniform(0.0, 1e4);
+    row[7] = static_cast<float>(a);
+    row[8] = static_cast<float>(b);
+    score += 0.2 * std::log1p(a) - b * 2e-5 + rng.uniform(-0.5, 0.5);
+    data.add_row(row, score > 0.5 ? 1 : 0, 1.0F);
+  }
+  data.apply_cost_matrix(2.0);
   return data;
 }
 
@@ -89,6 +124,25 @@ CellResult run_tree_fit(std::size_t rows, int reps) {
                 seconds, splits);
   return make_result("tree_fit_" + std::to_string(rows / 1000) + "k", rows,
                      seconds, extra);
+}
+
+/// Trainer-shaped fit cell: what one retrain barrier fits.
+CellResult run_trainer_fit(std::size_t rows, int reps) {
+  const ml::Dataset data = make_trainer_dataset(rows, 11);
+  std::size_t splits = 0;
+  std::size_t height = 0;
+  const double seconds = bench::best_of(reps, [&] {
+    ml::DecisionTree tree{tree_config()};
+    tree.fit(data);
+    splits = tree.split_count();
+    height = tree.height();
+  });
+  char extra[128];
+  std::snprintf(extra, sizeof(extra),
+                ", \"fit_seconds\": %.4f, \"splits\": %zu, \"height\": %zu",
+                seconds, splits, height);
+  return make_result("tree_fit_trainer_" + std::to_string(rows / 1000) + "k",
+                     rows, seconds, extra);
 }
 
 /// Predict cell: t_classify core — one tree traversal per row.
@@ -188,6 +242,7 @@ int main(int argc, char** argv) {
   const std::vector<std::function<CellResult()>> cells = {
       [] { return run_tree_fit(bench::scaled(35'000), kReps); },
       [] { return run_tree_fit(bench::scaled(140'000), kReps); },
+      [] { return run_trainer_fit(bench::scaled(144'000), kReps); },
       [] { return run_tree_predict(kReps); },
       [] { return run_compiled_predict(kReps); },
       [] { return run_compiled_batch(8, kReps); },

@@ -218,8 +218,11 @@ case "$JOB" in
     fi
     # The compile database is configured before any lint layer runs, so
     # layer 3 always has compile_commands.json even if an earlier layer's
-    # diagnostics need it for reproduction.
-    cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    # diagnostics need it for reproduction. Release (-O3) rather than
+    # RelWithDebInfo (-O2): some warnings (e.g. GCC 12's -Wrestrict on
+    # inlined std::string concatenation) only fire at -O3, and the
+    # benchmarks ship Release builds.
+    cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
       -DOTAC_WERROR=ON -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
     # Layer 1: otac-lint — project determinism/invariant rules
     # (tools/otac_lint; rule table via --list-rules, docs in DESIGN.md §11).

@@ -319,17 +319,16 @@ void ShardEngine::barrier(std::uint64_t trigger) {
   // Cold: once per retrain trigger. Drain the shard buffers into the
   // global trainer, merged in trace order so the training set (and its
   // window pruning) is independent of both shard count and scheduling.
-  std::vector<TrainingSample> drained;
+  // Each buffer is already index-ascending, so a k-way merge does it.
+  std::vector<const std::deque<TrainingSample>*> buffers(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    buffers[s] = &shards_[s].sampler->samples();
+  }
+  std::vector<TrainingSample> drained = merge_by_index(buffers);
   for (Shard& shard : shards_) {
-    const std::deque<TrainingSample>& buffer = shard.sampler->samples();
-    drained.insert(drained.end(), buffer.begin(), buffer.end());
     shard.sampler->restore({}, shard.sampler->current_minute(),
                            shard.sampler->minute_count());
   }
-  std::sort(drained.begin(), drained.end(),
-            [](const TrainingSample& a, const TrainingSample& b) {
-              return a.index < b.index;
-            });
   *samples_drained_ += drained.size();
   const SimTime time = trace_->requests[trigger].time;
   (void)schedule_.due(time);  // the trigger is due by construction

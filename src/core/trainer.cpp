@@ -8,6 +8,35 @@
 
 namespace otac {
 
+std::vector<TrainingSample> merge_by_index(
+    std::span<const std::deque<TrainingSample>* const> runs) {
+  using Cursor = std::deque<TrainingSample>::const_iterator;
+  std::vector<std::pair<Cursor, Cursor>> heads;  // non-empty runs, in order
+  std::size_t total = 0;
+  for (const std::deque<TrainingSample>* run : runs) {
+    total += run->size();
+    if (!run->empty()) heads.emplace_back(run->begin(), run->end());
+  }
+  std::vector<TrainingSample> merged;
+  merged.reserve(total);
+  // A linear scan of the heads (the run count is the shard count) until
+  // one run is left, which is copied whole.
+  while (heads.size() > 1) {
+    std::size_t min = 0;
+    for (std::size_t h = 1; h < heads.size(); ++h) {
+      if (heads[h].first->index < heads[min].first->index) min = h;
+    }
+    merged.push_back(*heads[min].first);
+    if (++heads[min].first == heads[min].second) {
+      heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(min));
+    }
+  }
+  if (!heads.empty()) {
+    merged.insert(merged.end(), heads[0].first, heads[0].second);
+  }
+  return merged;
+}
+
 RetrainSchedule::RetrainSchedule(const OtaConfig& ota)
     : retrain_hour_(ota.retrain_hour),
       interval_mode_(ota.retrain_interval_hours > 0.0),
@@ -103,6 +132,7 @@ std::optional<ml::DecisionTree> DailyTrainer::train(std::uint64_t now_index,
     }
   }
   ml::Dataset data{std::move(names)};
+  data.reserve(samples_.size());
   std::vector<float> projected(subset.size());
   std::size_t positives = 0;
   for (const TrainingSample& sample : samples_) {

@@ -13,6 +13,8 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/config.h"
 #include "core/features.h"
@@ -27,6 +29,14 @@ struct TrainingSample {
   std::uint64_t index = 0;  // trace position
   SimTime time{};
 };
+
+/// Merge runs that are each index-ascending into one index-ascending
+/// vector, reserved to the total size. Ties go to the earlier run, so this
+/// is a stable sort of the concatenated runs — and, with indices unique
+/// across runs (each request belongs to one shard), exactly what sorting
+/// the concatenation by index gives.
+[[nodiscard]] std::vector<TrainingSample> merge_by_index(
+    std::span<const std::deque<TrainingSample>* const> runs);
 
 /// When the model retrains (§4.4.3): daily at the trough hour, or — in the
 /// "incremental" alternative — every retrain_interval_hours. The schedule

@@ -13,6 +13,12 @@ Dataset::Dataset(std::vector<std::string> feature_names)
   }
 }
 
+void Dataset::reserve(std::size_t rows) {
+  values_.reserve(rows * num_features());
+  labels_.reserve(rows);
+  weights_.reserve(rows);
+}
+
 void Dataset::add_row(std::span<const float> features, int label,
                       float weight) {
   if (features.size() != num_features()) {

@@ -31,6 +31,9 @@ class Dataset {
     return feature_names_;
   }
 
+  /// Reserve storage for `rows` rows.
+  void reserve(std::size_t rows);
+
   /// Append a row. `features` must match num_features(); label is 0/1;
   /// weight must be positive.
   void add_row(std::span<const float> features, int label, float weight = 1.0F);

@@ -33,11 +33,12 @@ struct DecisionTree::PresortIndex {
   // 8 bytes: the label rides in the row index's high bit, and the weight
   // is not stored at all. The trainer's weights are uniform per class
   // (1.0, scaled by the §4.4.1 cost matrix for negatives), so the weight
-  // is a two-entry table lookup on the label bit — bitwise the same float
-  // the old inline field held. Non-uniform weights (AdaBoost reweighting)
-  // fall back to a row-indexed load from the dataset's weight array.
-  // fit() is bound by partition and scan traffic over these entries, so
-  // every dropped byte is throughput.
+  // and the positive mass are two-entry table lookups on the label bit —
+  // bitwise the floats the branchy forms returned, so every double sum
+  // keeps its operands and their order. Non-uniform weights (AdaBoost
+  // reweighting) fall back to a row-indexed load from the dataset's weight
+  // array. fit() is bound by partition and scan traffic over these
+  // entries, so every dropped byte and mispredicted branch is throughput.
   struct Entry {
     float value;
     std::uint32_t row_and_label;  // bit 31 = label, bits 0..30 = row
@@ -53,6 +54,7 @@ struct DecisionTree::PresortIndex {
   std::vector<std::uint8_t> goes_left; // per-row side mark of current split
   bool uniform_weights = true;         // weight is a function of the label
   float class_weight[2] = {0.0F, 0.0F};  // [label] when uniform_weights
+  float positive_weight[2] = {0.0F, 0.0F};  // {0, class_weight[1]}
   const float* row_weights = nullptr;    // dataset weights (fallback path)
 
   /// The row's weight — exactly the float Dataset::weight(row) returns
@@ -64,7 +66,9 @@ struct DecisionTree::PresortIndex {
   }
   /// weight_of(e) when label == 1, else 0 — the positive-class mass term.
   [[nodiscard]] float positive_of(Entry e) const noexcept {
-    return (e.row_and_label & 0x80000000U) != 0U ? weight_of(e) : 0.0F;
+    if (uniform_weights) return positive_weight[e.row_and_label >> 31];
+    return (e.row_and_label & 0x80000000U) != 0U ? row_weights[e.row()]
+                                                 : 0.0F;
   }
 
   explicit PresortIndex(const Dataset& data)
@@ -90,45 +94,47 @@ struct DecisionTree::PresortIndex {
         uniform_weights = false;
       }
     }
+    positive_weight[1] = class_weight[1];
     // LSD radix sort (3 passes of 11/11/10 bits over the order-preserving
     // float transform). Stable, so gathering in row order makes ties come
     // out row-ascending — the same deterministic (value, row) order a
     // comparison sort would produce — at a fraction of the comparison
-    // sort's cost, which otherwise dominates fit() end to end.
+    // sort's cost, which otherwise dominates fit() end to end. A pass whose
+    // digit is the same for every key is a stable scatter into one bucket,
+    // i.e. the identity, and is skipped: integer-valued features never
+    // touch the low mantissa digit, and a constant feature skips all three.
+    constexpr int kShift[3] = {0, 11, 22};
     std::uint32_t hist[3][2048];
     for (std::size_t f = 0; f < data.num_features(); ++f) {
-      Entry* seg = entries.data() + f * rows;
-      Entry* tmp = scratch.data();
+      Entry* src = scratch.data();
+      Entry* dst = entries.data() + f * rows;
       for (std::size_t r = 0; r < rows; ++r) {
-        tmp[r] = Entry{data.value(r, f), rowlab[r]};
+        src[r] = Entry{data.value(r, f), rowlab[r]};
       }
       std::fill(&hist[0][0], &hist[0][0] + 3 * 2048, 0U);
       for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint32_t k = ordered_bits(tmp[r].value);
+        const std::uint32_t k = ordered_bits(src[r].value);
         ++hist[0][k & 2047U];
         ++hist[1][(k >> 11) & 2047U];
         ++hist[2][k >> 22];
       }
-      for (auto& h : hist) {
+      const std::uint32_t first = ordered_bits(src[0].value);
+      for (int p = 0; p < 3; ++p) {
+        std::uint32_t* h = hist[p];
+        if (h[(first >> kShift[p]) & 2047U] == rows) continue;
         std::uint32_t sum = 0;
-        for (std::uint32_t& b : h) {
-          const std::uint32_t count = b;
-          b = sum;
+        for (std::size_t b = 0; b < 2048; ++b) {
+          const std::uint32_t count = h[b];
+          h[b] = sum;
           sum += count;
         }
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::uint32_t k = ordered_bits(src[r].value);
+          dst[h[(k >> kShift[p]) & 2047U]++] = src[r];
+        }
+        std::swap(src, dst);
       }
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint32_t k = ordered_bits(tmp[r].value);
-        seg[hist[0][k & 2047U]++] = tmp[r];
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint32_t k = ordered_bits(seg[r].value);
-        tmp[hist[1][(k >> 11) & 2047U]++] = seg[r];
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint32_t k = ordered_bits(tmp[r].value);
-        seg[hist[2][k >> 22]++] = tmp[r];
-      }
+      if (src == scratch.data()) std::copy(src, src + rows, dst);
     }
   }
 
@@ -152,12 +158,16 @@ struct DecisionTree::PresortIndex {
       Entry* seg = entries.data() + f * rows + begin;
       std::size_t left = 0;
       std::size_t right = 0;
+      // Branch-free: write each entry to both cursors and advance one by
+      // the side bit. seg[left] is never ahead of the entry being read,
+      // so in-place compaction is safe.
       for (std::size_t k = 0; k < count; ++k) {
-        if (goes_left[seg[k].row()]) {
-          seg[left++] = seg[k];
-        } else {
-          scratch[right++] = seg[k];
-        }
+        const Entry e = seg[k];
+        const std::size_t side = goes_left[e.row()];
+        seg[left] = e;
+        scratch[right] = e;
+        left += side;
+        right += 1 - side;
       }
       std::copy(scratch.data(), scratch.data() + right, seg + left);
     }
@@ -493,7 +503,8 @@ std::string DecisionTree::to_text(
     }
     const auto f = static_cast<std::size_t>(node.feature);
     const std::string label =
-        f < feature_names.size() ? feature_names[f] : "f" + std::to_string(f);
+        f < feature_names.size() ? feature_names[f]
+                                : std::string{"f"}.append(std::to_string(f));
     out << indent << label << " <= " << node.threshold << " ?\n";
     stack.emplace_back(static_cast<std::size_t>(node.right), indent + "  ");
     stack.emplace_back(static_cast<std::size_t>(node.left), indent + "  ");

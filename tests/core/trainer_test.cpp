@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
 #include "trace/trace_generator.h"
+#include "util/rng.h"
 
 namespace otac {
 namespace {
@@ -136,6 +141,46 @@ TEST(Trainer, WindowDropsOldSamples) {
   // Training "now" = 3 days later: all samples fall outside the window.
   EXPECT_FALSE(trainer.train(200, SimTime{3 * kSecondsPerDay}).has_value());
   EXPECT_EQ(trainer.sample_count(), 0u);
+}
+
+TEST(MergeByIndex, EqualsSortOnRandomRuns) {
+  // The barrier's drain: one index-ascending run per shard, indices unique
+  // across runs, some runs empty. The merge must equal concatenate + sort.
+  Rng rng{2024};
+  for (const std::size_t shards : {1U, 4U, 8U}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::deque<TrainingSample>> runs(shards);
+      // A few trials leave whole shards empty.
+      const std::size_t live = trial % 4 == 0 ? (shards + 1) / 2 : shards;
+      const std::size_t samples = rng.next_below(2000);
+      std::uint64_t index = 0;
+      for (std::size_t i = 0; i < samples; ++i) {
+        index += 1 + rng.next_below(5);
+        TrainingSample sample{};
+        sample.index = index;
+        sample.time = SimTime{static_cast<std::int64_t>(index / 3)};
+        sample.features[0] = static_cast<float>(rng.next_below(100));
+        runs[rng.next_below(live)].push_back(sample);
+      }
+      std::vector<const std::deque<TrainingSample>*> views;
+      std::vector<TrainingSample> expected;
+      for (const auto& run : runs) {
+        views.push_back(&run);
+        expected.insert(expected.end(), run.begin(), run.end());
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const TrainingSample& a, const TrainingSample& b) {
+                  return a.index < b.index;
+                });
+      const std::vector<TrainingSample> merged = merge_by_index(views);
+      ASSERT_EQ(merged.size(), expected.size());
+      for (std::size_t i = 0; i < merged.size(); ++i) {
+        ASSERT_EQ(merged[i].index, expected[i].index);
+        ASSERT_EQ(merged[i].time, expected[i].time);
+        ASSERT_EQ(merged[i].features, expected[i].features);
+      }
+    }
+  }
 }
 
 }  // namespace

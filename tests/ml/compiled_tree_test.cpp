@@ -31,7 +31,7 @@ Dataset make_golden_dataset(std::size_t rows, std::size_t features,
   // test are exactly the golden-pinned ones.
   std::vector<std::string> names;
   for (std::size_t f = 0; f < features; ++f) {
-    names.push_back("f" + std::to_string(f));
+    names.push_back(std::string{"f"}.append(std::to_string(f)));
   }
   Dataset data{names};
   Rng rng{seed};

@@ -15,7 +15,7 @@ inline Dataset gaussian_blobs(std::size_t n, std::size_t dims, double noise,
   std::vector<std::string> names;
   names.reserve(dims);
   for (std::size_t f = 0; f < dims; ++f) {
-    names.push_back("f" + std::to_string(f));
+    names.push_back(std::string{"f"}.append(std::to_string(f)));
   }
   Dataset data{std::move(names)};
   Rng rng{seed};

@@ -110,7 +110,7 @@ TEST(MetricsRegistry, HandlesAreStableAndShared) {
   // Creating more metrics must not invalidate existing handles (node-based
   // map storage).
   for (int i = 0; i < 100; ++i) {
-    (void)registry.counter("c" + std::to_string(i));
+    (void)registry.counter(std::string{"c"}.append(std::to_string(i)));
   }
   MetricsRegistry::Counter b = registry.counter("x");
   EXPECT_EQ(a, b);
