@@ -2,8 +2,6 @@
 // policy plus an admission policy, producing CacheStats.
 #pragma once
 
-#include <functional>
-
 #include "cachesim/admission.h"
 #include "cachesim/cache_policy.h"
 #include "cachesim/cache_stats.h"
@@ -15,31 +13,18 @@ namespace otac {
 
 class Simulator {
  public:
-  /// Invoked whenever the simulated calendar day changes, before the first
-  /// request of the new day is processed (daily retraining hook, §4.4.3).
-  using DayCallback = std::function<void(std::int64_t day, std::uint64_t index)>;
-
   explicit Simulator(const Trace& trace) : trace_(&trace) {}
 
   /// Provide oracle next-access info (required for Belady and
   /// OracleAdmission; harmless otherwise).
   void set_oracle(const NextAccessInfo& oracle) { oracle_ = &oracle; }
-  void set_day_callback(DayCallback callback) {
-    on_new_day_ = std::move(callback);
-  }
 
-  /// Feed each measured request's hit/miss outcome to a pre-resolved
+  /// Feed each request's hit/miss outcome to a pre-resolved
   /// latency recorder (obs layer). Null (default) records nothing; the
   /// recorder must outlive run().
   void set_latency_recorder(obs::LatencyRecorder* recorder) {
     latency_ = recorder;
   }
-
-  /// Exclude the first `fraction` of requests from the returned statistics
-  /// (cache state still evolves through them). Standard warm-cache
-  /// measurement practice; 0 (default) measures the cold start like the
-  /// paper's 9-day end-to-end runs.
-  void set_warmup_fraction(double fraction);
 
   /// Run the whole trace. Policy/admission keep their state afterwards, so
   /// warm-cache continuation runs are possible by calling run() again with
@@ -49,9 +34,7 @@ class Simulator {
  private:
   const Trace* trace_;
   const NextAccessInfo* oracle_ = nullptr;
-  DayCallback on_new_day_;
   obs::LatencyRecorder* latency_ = nullptr;
-  double warmup_fraction_ = 0.0;
 };
 
 }  // namespace otac

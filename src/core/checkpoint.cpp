@@ -370,9 +370,7 @@ CheckpointLoad CheckpointManager::load() const {
 
 void CheckpointManager::configure_retry(const CheckpointRetryConfig& config) {
   retry_config_ = config;
-  BackoffConfig backoff = config.backoff;
-  backoff.max_retries = config.max_retries;
-  retry_backoff_ = ExponentialBackoff{backoff, config.backoff_seed};
+  retry_backoff_ = ExponentialBackoff{config.backoff, config.backoff_seed};
 }
 
 bool CheckpointManager::save_with_retry(const ClassifierSnapshot& snapshot) {

@@ -5,8 +5,8 @@
 //
 // Every default below disables the layer: OverloadConfig::enabled = false
 // keeps the batched admission path byte-identical to the pre-resilience
-// code, and WatchdogConfig::timeout_s = 0 / max_retries = 0 makes the
-// barrier-side trainer call exactly the historical try/catch. The
+// code, and WatchdogConfig::timeout_s = 0 / backoff.max_retries = 0 makes
+// the barrier-side trainer call exactly the historical try/catch. The
 // determinism goldens (shards=1 bit-identity, report goldens) therefore
 // never see this layer unless a test turns it on.
 #pragma once
@@ -45,15 +45,16 @@ struct OverloadConfig {
 
 /// Retrain supervision at barriers. timeout_s == 0 selects the *inline*
 /// mode: train on the coordinator thread with only the retry loop added
-/// (and with max_retries == 0 that is byte-identical to the historical
-/// try/catch). timeout_s > 0 selects the threaded watchdog: the trainer
-/// runs on a worker thread, the barrier waits at most timeout_s, and a
-/// hung retrain is abandoned — shards proceed on the last-good model and
-/// the trainer result, if it ever lands, is discarded.
+/// (and with backoff.max_retries == 0 that is byte-identical to the
+/// historical try/catch). timeout_s > 0 selects the threaded watchdog: the
+/// trainer runs on a worker thread, the barrier waits at most timeout_s,
+/// and a hung retrain is abandoned — shards proceed on the last-good model
+/// and the trainer result, if it ever lands, is discarded.
 struct WatchdogConfig {
   double timeout_s = 0.0;
-  int max_retries = 0;     ///< re-runs of a *throwing* retrain per barrier
-  BackoffConfig backoff{}; ///< delays between retries (jitter seeded below)
+  /// Delays between re-runs of a *throwing* retrain, and their budget per
+  /// barrier (max_retries; jitter seeded below).
+  BackoffConfig backoff{.max_retries = 0};
   std::uint64_t backoff_seed = 0;
 };
 
@@ -62,8 +63,7 @@ struct WatchdogConfig {
 /// save() calls are counted and skipped (serving continues, durability is
 /// sacrificed) instead of throwing on every barrier.
 struct CheckpointRetryConfig {
-  int max_retries = 0;
-  BackoffConfig backoff{};
+  BackoffConfig backoff{.max_retries = 0};  ///< delays and retry budget
   std::uint64_t backoff_seed = 0;
   bool read_only_on_exhaustion = true;
 };

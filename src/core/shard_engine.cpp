@@ -158,6 +158,16 @@ void ShardEngine::serve_batch(std::size_t s, const std::uint64_t* indices,
   std::array<std::uint8_t, kBatch> slot;
   std::array<const PhotoMeta*, kBatch> photos;
 
+  // The epoch rule, checked before any row is served: a row past the
+  // pending trigger would be served by a model its barrier has not yet
+  // replaced.
+  const std::uint64_t end = epoch_end();
+  for (std::size_t b = 0; b < n; ++b) {
+    if (indices[b] >= end) {
+      throw std::logic_error("ShardEngine::serve_batch: row past epoch end");
+    }
+  }
+
   // Pass 1 — arrival order: photo lookup and overload gating through the
   // fluid queue (a pure function of arrival times), or, off the overload
   // path, a warm-up of the extractor's per-photo/per-owner state so the
@@ -315,6 +325,20 @@ void ShardEngine::upsert(std::size_t s, PhotoId photo) {
   }
 }
 
+std::uint64_t ShardEngine::epoch_end() const noexcept {
+  const std::size_t next = next_trigger_.load(std::memory_order_acquire);
+  return next < triggers_.size() ? triggers_[next] + 1
+                                 : trace_->requests.size();
+}
+
+void ShardEngine::advance(std::uint64_t index) {
+  std::size_t next = next_trigger_.load(std::memory_order_relaxed);
+  while (next < triggers_.size() && triggers_[next] < index) {
+    barrier(triggers_[next]);
+    next_trigger_.store(++next, std::memory_order_release);
+  }
+}
+
 void ShardEngine::barrier(std::uint64_t trigger) {
   // Cold: once per retrain trigger. Drain the shard buffers into the
   // global trainer, merged in trace order so the training set (and its
@@ -338,28 +362,14 @@ void ShardEngine::barrier(std::uint64_t trigger) {
   trainer_degradation_.retrain_retries +=
       static_cast<std::uint64_t>(outcome.retries);
   switch (outcome.status) {
-    case RetrainOutcome::Status::trained: {
+    case RetrainOutcome::Status::trained:
       ++*fits_;
-      // A tree that fails validation, or is too large for the slot, is
-      // unservable: the last-good generation keeps serving.
-      if (!validate_serving_model(*outcome.tree, model_arity_)) {
-        ++trainer_degradation_.rejected_models;
-        break;
+      if (publish(std::move(*outcome.tree))) {
+        ++result_.trainings;
+        ++*models_published_;
+        ++*compiled_tree_swaps_;
       }
-      const ml::CompiledTree compiled =
-          ml::CompiledTree::compile(*outcome.tree);
-      if (!ModelSlot::fits(compiled)) {
-        ++trainer_degradation_.rejected_models;
-        break;
-      }
-      model_.store(compiled);
-      generation_.fetch_add(1, std::memory_order_release);
-      model_tree_ = std::move(outcome.tree);
-      ++result_.trainings;
-      ++*models_published_;
-      ++*compiled_tree_swaps_;
       break;
-    }
     case RetrainOutcome::Status::skipped:
       ++*fit_skipped_;
       break;
@@ -383,6 +393,21 @@ void ShardEngine::barrier(std::uint64_t trigger) {
   // otac-lint: allow(hotpath-alloc)
   result_.obs.timeline.push_back(
       obs::BarrierSample{trigger, time.seconds, merged_snapshot()});
+}
+
+bool ShardEngine::publish(ml::DecisionTree tree) {
+  // Flashield's rule: a model that cannot be served safely is dropped.
+  if (validate_serving_model(tree, model_arity_)) {
+    const ml::CompiledTree compiled = ml::CompiledTree::compile(tree);
+    if (ModelSlot::fits(compiled)) {
+      model_.store(compiled);
+      generation_.fetch_add(1, std::memory_order_release);
+      model_tree_ = std::move(tree);
+      return true;
+    }
+  }
+  ++trainer_degradation_.rejected_models;
+  return false;
 }
 
 RunResult ShardEngine::totals() const {
@@ -423,6 +448,7 @@ RunResult ShardEngine::totals() const {
 }
 
 RunResult& ShardEngine::finish(std::size_t threads) {
+  advance(trace_->requests.size());
   obs::RunReport kept = std::move(result_.obs);
   result_ = totals();
   result_.obs = std::move(kept);
@@ -475,33 +501,27 @@ RunResult& ShardEngine::replay(std::size_t threads) {
   ThreadPool pool{threads};
 
   // Bulk-synchronous epochs: every shard serves its requests up to the
-  // next retrain trigger, then the barrier retrains and publishes.
-  // Batches never cross an epoch, so batch boundaries depend only on the
-  // trace and the schedule.
-  const std::uint64_t total_requests = trace.requests.size();
-  std::uint64_t epoch_begin = 0;
-  std::size_t next_trigger = 0;
-  while (epoch_begin < total_requests) {
-    const bool has_trigger = next_trigger < triggers_.size();
-    const std::uint64_t epoch_end =
-        has_trigger ? triggers_[next_trigger] + 1 : total_requests;
+  // epoch end, then advance() retrains and publishes. Batches never cross
+  // an epoch, so batch boundaries depend only on the trace and the
+  // schedule.
+  for (std::uint64_t end = 0; end < trace.requests.size();) {
+    end = epoch_end();
     pool.parallel_for(shards, [&](std::size_t s) {
       const std::vector<std::uint64_t>& mine = shard_requests[s];
       std::size_t& pos = cursor[s];
       constexpr std::size_t kBatch = ServingCore::kAdmissionBatchCapacity;
       std::array<RowOutcome, kBatch> outcomes;
-      while (pos < mine.size() && mine[pos] < epoch_end) {
+      while (pos < mine.size() && mine[pos] < end) {
         std::size_t batch = 1;
         while (batch < kBatch && pos + batch < mine.size() &&
-               mine[pos + batch] < epoch_end) {
+               mine[pos + batch] < end) {
           ++batch;
         }
         serve_batch(s, mine.data() + pos, batch, outcomes.data());
         pos += batch;
       }
     });
-    if (has_trigger) barrier(triggers_[next_trigger++]);
-    epoch_begin = epoch_end;
+    advance(end);
   }
   return finish(threads);
 }
@@ -536,7 +556,8 @@ ClassifierSnapshot ShardEngine::snapshot() const {
 
 bool ShardEngine::restore(const ClassifierSnapshot& snapshot) {
   if (shards_.size() != 1 || !is_proposal_ ||
-      generation_.load(std::memory_order_acquire) != 0) {
+      generation_.load(std::memory_order_acquire) != 0 ||
+      next_trigger_.load(std::memory_order_acquire) != 0) {
     throw std::invalid_argument(
         "ShardEngine::restore: needs one shard in proposal mode, before "
         "any barrier");
@@ -552,24 +573,13 @@ bool ShardEngine::restore(const ClassifierSnapshot& snapshot) {
   result_.trainings = snapshot.trainings;
 
   if (snapshot.model_blob.empty()) return true;  // admit-all until a retrain
-  // Flashield's rule: a model that cannot be served safely is dropped, and
-  // the engine serves admit-all instead.
+  // A model that cannot be served leaves the engine admit-all.
   try {
-    ml::DecisionTree tree = ml::DecisionTree::deserialize(snapshot.model_blob);
-    if (validate_serving_model(tree, model_arity_)) {
-      const ml::CompiledTree compiled = ml::CompiledTree::compile(tree);
-      if (ModelSlot::fits(compiled)) {
-        model_.store(compiled);
-        generation_.fetch_add(1, std::memory_order_release);
-        model_tree_ = std::move(tree);
-        return true;
-      }
-    }
+    return publish(ml::DecisionTree::deserialize(snapshot.model_blob));
   } catch (const std::exception&) {
-    // Undecodable blob: rejected below.
+    ++trainer_degradation_.rejected_models;  // undecodable blob
+    return false;
   }
-  ++trainer_degradation_.rejected_models;
-  return false;
 }
 
 void ShardEngine::populate_registries() {

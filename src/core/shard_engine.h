@@ -11,8 +11,8 @@
 // ServingCore, sampler, fluid ShardQueue, metrics registry, latency
 // recorder, model snapshot, CacheStats), the shared ModelSlot with the
 // last published tree, the trainer with its TrainerWatchdog, the retrain
-// schedule, the trainer-side registry and the precomputed retrain
-// triggers. Its operations:
+// schedule, the trainer-side registry, and the retrain triggers with the
+// cursor over them. Its operations:
 //
 //   serve_batch  serve up to kAdmissionBatchCapacity requests of one shard
 //                in every admission mode and overload state, through one
@@ -21,24 +21,29 @@
 //                then the strictly sequential cache replay;
 //   upsert       the daemon's PUT: touch a resident photo, insert a
 //                missing one;
-//   barrier      drain the shard samplers, merge in trace order, fit under
-//                the watchdog, validate, compile, publish, snapshot;
-//   replay       the whole trace: partition by shard_of_photo, serve the
-//                epochs between triggers on a pool, barrier at each
-//                trigger, finish;
-//   finish       the end-of-run RunResult and report;
+//   epoch_end    the first trace index the current epoch cannot serve;
+//   advance      run the retrain barrier of every pending trigger below an
+//                index: drain the shard samplers, merge in trace order,
+//                fit under the watchdog, publish, snapshot;
+//   replay       the whole trace: partition by shard_of_photo, serve each
+//                epoch on a pool, advance, finish;
+//   finish       advance to the end of the trace, then the end-of-run
+//                RunResult and report;
 //   snapshot /   the single-shard serving state in the checkpoint format
 //   restore      (core/checkpoint.h).
 //
 // Threading contract: serve_batch/upsert on different shards may run
-// concurrently; calls on one shard must be serialized; barrier, totals,
-// snapshot and finish require every shard to be quiescent. Shards reload
-// the published model once per published generation, on their next batch.
+// concurrently; calls on one shard must be serialized; epoch_end may be
+// called at any time; advance, totals, snapshot and finish require every
+// shard to be quiescent. Shards reload the published model once per
+// published generation, on their next batch.
 //
-// Determinism contract: a batch never spans a retrain trigger (the driver
-// calls barrier(t) after serving every request <= t and before any
-// request > t). Then every result depends only on trace order — never on
-// batch boundaries, thread count or scheduling.
+// Determinism contract: the barrier for trigger t runs after request t is
+// served and before request t+1 is. The engine enforces it: serve_batch
+// throws std::logic_error for a row at or past epoch_end(), and a driver
+// moves the epoch on only through advance(). Then every result depends
+// only on trace order — never on batch boundaries, thread count or
+// scheduling.
 #pragma once
 
 #include <atomic>
@@ -83,10 +88,6 @@ class ShardEngine {
   ShardEngine(const ShardEngine&) = delete;
   ShardEngine& operator=(const ShardEngine&) = delete;
 
-  /// Request indices after which barrier() must run (proposal only).
-  [[nodiscard]] const std::vector<std::uint64_t>& triggers() const noexcept {
-    return triggers_;
-  }
   /// Shard `s`'s registry (front ends may bind their own metrics there).
   [[nodiscard]] obs::MetricsRegistry& shard_registry(std::size_t s);
   /// The trainer-side registry, merged ahead of the shards in reports.
@@ -95,8 +96,9 @@ class ShardEngine {
   }
 
   /// Serve trace requests `indices[0..n)` (n <= ServingCore::
-  /// kAdmissionBatchCapacity, all owned by shard `s`, in trace order, none
-  /// past the next pending trigger) and write one outcome per row.
+  /// kAdmissionBatchCapacity, all owned by shard `s`, in trace order) and
+  /// write one outcome per row. Throws std::logic_error, before serving
+  /// any row, if a row is at or past epoch_end().
   void serve_batch(std::size_t s, const std::uint64_t* indices, std::size_t n,
                    RowOutcome* outcomes);
 
@@ -105,22 +107,30 @@ class ShardEngine {
   /// GET-only.
   void upsert(std::size_t s, PhotoId photo);
 
-  /// The retrain barrier at `trigger`, with every shard quiescent.
-  void barrier(std::uint64_t trigger);
+  /// The first trace index the current epoch cannot serve: the next
+  /// pending retrain trigger + 1, or the trace size when no trigger is
+  /// left (always, outside proposal mode). Safe to call while serve_batch
+  /// runs.
+  [[nodiscard]] std::uint64_t epoch_end() const noexcept;
+
+  /// Run, in order, the barrier of every pending trigger < `index`. Every
+  /// shard must be quiescent.
+  void advance(std::uint64_t index);
 
   /// Totals so far, merged in shard order, without the report. Requires
   /// quiescent shards; no side effects.
   [[nodiscard]] RunResult totals() const;
 
-  /// totals() plus the report: registries populated, per-shard and merged
-  /// snapshots, and an end-of-trace timeline sample. Idempotent;
-  /// `threads` is recorded in the report.
+  /// advance() to the end of the trace, then totals() plus the report:
+  /// registries populated, per-shard and merged snapshots, and an
+  /// end-of-trace timeline sample. Idempotent; `threads` is recorded in
+  /// the report.
   RunResult& finish(std::size_t threads);
 
   /// Serve the whole trace, request 0 onward, on a fresh (or just
-  /// restored) engine: every shard serves its requests up to the next
-  /// trigger on a pool of `threads` workers, then barrier() runs on the
-  /// calling thread, until the trace ends; then finish(threads).
+  /// restored) engine: every shard serves its requests below epoch_end()
+  /// on a pool of `threads` workers, then advance() runs on the calling
+  /// thread, until the trace ends; then finish(threads).
   RunResult& replay(std::size_t threads);
 
   /// The serving state of a single-shard proposal engine: criteria, the
@@ -132,8 +142,8 @@ class ShardEngine {
 
   /// Install checkpointed state into a single-shard proposal engine that
   /// has not run a barrier yet (std::invalid_argument otherwise). The
-  /// history, trainer and schedule sections are always restored, and
-  /// triggers() is recomputed from the restored schedule. A corrupt,
+  /// history, trainer and schedule sections are always restored, and the
+  /// retrain triggers are recomputed from the restored schedule. A corrupt,
   /// arity-mismatched or slot-oversized model leaves the engine model-less
   /// (admit-all until the next retrain), counts a rejected model and
   /// returns false.
@@ -143,6 +153,13 @@ class ShardEngine {
   struct Shard;
 
   bool insert(Shard& shard, const Request& request, const PhotoMeta& photo);
+  /// The retrain barrier at `trigger`, with every shard quiescent.
+  void barrier(std::uint64_t trigger);
+  /// Validate, compile and store `tree` as the next generation, keeping
+  /// the tree for snapshots. An unservable tree (failed validation, or too
+  /// large for the slot) counts a rejected model and returns false; the
+  /// last-good generation keeps serving.
+  bool publish(ml::DecisionTree tree);
   void populate_registries();
   [[nodiscard]] obs::MetricsSnapshot merged_snapshot() const;
 
@@ -173,7 +190,11 @@ class ShardEngine {
   obs::MetricsRegistry::Counter models_published_ = nullptr;
   obs::MetricsRegistry::Counter samples_drained_ = nullptr;
   obs::MetricsRegistry::Counter compiled_tree_swaps_ = nullptr;
+  // Request indices after which a barrier runs (proposal only), and the
+  // index of the next one pending. Only advance() moves the cursor;
+  // epoch_end() reads it from any thread.
   std::vector<std::uint64_t> triggers_;
+  std::atomic<std::size_t> next_trigger_{0};
 };
 
 }  // namespace otac

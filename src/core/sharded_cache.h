@@ -9,11 +9,11 @@
 // ShardedCache::run is a thin driver over the serving engine
 // (core/shard_engine.h): it picks the worker count and calls
 // ShardEngine::replay, which partitions the trace, serves each shard in
-// micro-batches that never cross a retrain trigger, and runs the retrain
-// barrier at every trigger. IntelligentCache::run is the same call at
-// shards=1. The CART model is the one deliberately shared piece,
-// published by the barrier into a seqlock slot (core/model_slot.h) that
-// shards reload once per generation.
+// micro-batches that never cross the engine's epoch end, and advances the
+// engine (one retrain barrier per trigger) between epochs.
+// IntelligentCache::run is the same call at shards=1. The CART model is
+// the one deliberately shared piece, published by the barrier into a
+// seqlock slot (core/model_slot.h) that shards reload once per generation.
 //
 // Determinism is a design invariant, not an accident:
 //  - the partition is a pure function of the photo id (shard_of_photo);
@@ -43,10 +43,10 @@ namespace otac {
                                          std::size_t shards) noexcept;
 
 /// Request indices at which `schedule`, advanced from its current state,
-/// fires — precomputed from request times alone. The engine uses them as
-/// barriers: all shards finish requests <= trigger, the trainer drains the
-/// shard buffers and retrains, the new model is atomically published,
-/// serving resumes.
+/// fires — precomputed from request times alone. The engine keeps them as
+/// its epoch ends: all shards finish requests <= trigger, the trainer
+/// drains the shard buffers and retrains, the new model is atomically
+/// published, serving resumes.
 [[nodiscard]] std::vector<std::uint64_t> retrain_trigger_indices(
     const Trace& trace, RetrainSchedule schedule);
 

@@ -22,26 +22,15 @@ TieredStats run_tiered(const IntelligentCache& system, const RunConfig& oc,
                        const RunConfig& dc) {
   ShardEngine oc_engine{system, one_shard(oc)};
   ShardEngine dc_engine{system, one_shard(dc)};
-  const std::vector<std::uint64_t>& oc_triggers = oc_engine.triggers();
-  const std::vector<std::uint64_t>& dc_triggers = dc_engine.triggers();
-  std::size_t oc_next = 0;
-  std::size_t dc_next = 0;
-
   constexpr std::size_t kBatch = ServingCore::kAdmissionBatchCapacity;
   std::array<std::uint64_t, kBatch> indices;
   std::array<std::uint64_t, kBatch> misses;
   std::array<ShardEngine::RowOutcome, kBatch> outcomes;
   const std::uint64_t total = system.trace().requests.size();
-  std::uint64_t begin = 0;
-  while (begin < total) {
-    // A batch ends at the first pending trigger of either tier.
-    std::uint64_t end = std::min<std::uint64_t>(total, begin + kBatch);
-    if (oc_next < oc_triggers.size()) {
-      end = std::min(end, oc_triggers[oc_next] + 1);
-    }
-    if (dc_next < dc_triggers.size()) {
-      end = std::min(end, dc_triggers[dc_next] + 1);
-    }
+  for (std::uint64_t begin = 0; begin < total;) {
+    // A batch ends at the first epoch end of either tier.
+    const std::uint64_t end = std::min(
+        {begin + kBatch, oc_engine.epoch_end(), dc_engine.epoch_end()});
     const auto n = static_cast<std::size_t>(end - begin);
     std::iota(indices.begin(), indices.begin() + n, begin);
     oc_engine.serve_batch(0, indices.data(), n, outcomes.data());
@@ -54,12 +43,8 @@ TieredStats run_tiered(const IntelligentCache& system, const RunConfig& oc,
     if (missed > 0) {
       dc_engine.serve_batch(0, misses.data(), missed, outcomes.data());
     }
-    if (oc_next < oc_triggers.size() && oc_triggers[oc_next] == end - 1) {
-      oc_engine.barrier(oc_triggers[oc_next++]);
-    }
-    if (dc_next < dc_triggers.size() && dc_triggers[dc_next] == end - 1) {
-      dc_engine.barrier(dc_triggers[dc_next++]);
-    }
+    oc_engine.advance(end);
+    dc_engine.advance(end);
     begin = end;
   }
 

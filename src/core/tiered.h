@@ -43,9 +43,11 @@ struct TieredStats {
 };
 
 /// Replay the system's trace through the OC engine (every request) and the
-/// DC engine (the requests the OC did not serve from cache). Each engine
-/// runs its barrier at its own triggers; `shards` and `threads` of both
-/// configs are ignored (one shard each, on the calling thread).
+/// DC engine (the requests the OC did not serve from cache). Each batch
+/// ends at the earlier epoch end of the two engines, and then both advance
+/// past it, so each runs its barriers at its own triggers; `shards` and
+/// `threads` of both configs are ignored (one shard each, on the calling
+/// thread).
 [[nodiscard]] TieredStats run_tiered(const IntelligentCache& system,
                                      const RunConfig& oc,
                                      const RunConfig& dc);

@@ -6,13 +6,10 @@
 
 namespace otac {
 
-TrainerWatchdog::TrainerWatchdog(DailyTrainer& trainer, WatchdogConfig config,
-                                 std::uint64_t seed)
-    : trainer_(&trainer), config_(config), backoff_([&] {
-        BackoffConfig b = config.backoff;
-        b.max_retries = config.max_retries;
-        return b;
-      }(), seed ^ config.backoff_seed) {
+TrainerWatchdog::TrainerWatchdog(DailyTrainer& trainer, WatchdogConfig config)
+    : trainer_(&trainer),
+      config_(config),
+      backoff_(config.backoff, config.backoff_seed) {
   if (config_.timeout_s > 0.0) {
     worker_ = std::thread([this] { worker_loop(); });
   }

@@ -8,7 +8,7 @@
 //
 //   Inline (timeout_s == 0, the default): train() runs on the coordinator
 //   thread inside the barrier, with only the retry loop wrapped around
-//   it. With max_retries == 0 this is exactly the historical
+//   it. With backoff.max_retries == 0 this is exactly the historical
 //   try/catch-once behavior, which is what keeps default-config runs
 //   bit-identical to the pre-watchdog code. Backoff delays are
 //   *accounted, not slept* — the barrier is already a quiescent point and
@@ -63,11 +63,9 @@ struct RetrainOutcome {
 
 class TrainerWatchdog {
  public:
-  /// The trainer must outlive the watchdog. `seed` feeds backoff jitter
-  /// (combined with config.backoff_seed) so retry schedules are
-  /// reproducible per run.
-  TrainerWatchdog(DailyTrainer& trainer, WatchdogConfig config,
-                  std::uint64_t seed = 0);
+  /// The trainer must outlive the watchdog. config.backoff_seed seeds the
+  /// backoff jitter, so retry schedules are reproducible per run.
+  TrainerWatchdog(DailyTrainer& trainer, WatchdogConfig config);
   ~TrainerWatchdog();
 
   TrainerWatchdog(const TrainerWatchdog&) = delete;

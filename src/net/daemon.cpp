@@ -174,13 +174,12 @@ struct Daemon::Impl {
   double miss_latency_us = 0.0;
 
   // Everything that serves, retrains and reports (built by start()).
-  // Readers dispatch under a shared lock; a barrier takes it exclusively,
-  // waits for every shard queue to drain, retrains, and advances
-  // next_trigger.
+  // Readers dispatch under a shared lock; advancing the engine past an
+  // epoch end takes it exclusively and waits for every shard queue to
+  // drain first.
   std::unique_ptr<ShardEngine> engine;
   RunResult result;
   std::vector<std::unique_ptr<ShardWorker>> workers;
-  std::atomic<std::size_t> next_trigger{0};
   std::shared_mutex dispatch_mutex;
 
   UniqueFd listener;
@@ -218,8 +217,7 @@ struct Daemon::Impl {
   void enqueue(Envelope&& envelope);
   void maybe_barrier(std::uint64_t index);
   void quiesce_locked();
-  void flush_barriers_locked();
-  void barrier_locked(std::uint64_t trigger);
+  void advance_locked(std::uint64_t index);
   void worker_loop(std::size_t s);
   void send_frame(Connection& conn, const std::uint8_t* data,
                   std::size_t size);
@@ -384,13 +382,12 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
       return true;
     }
     case FrameType::stats_request: {
-      // End-of-stream snapshot: quiesce every shard, fire all remaining
-      // scheduled retrain barriers, and summarize the engine's totals.
+      // End-of-stream snapshot: quiesce every shard, run every remaining
+      // retrain barrier, and summarize the engine's totals.
       SummaryPayload summary;
       {
         const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
-        quiesce_locked();
-        flush_barriers_locked();
+        advance_locked(trace->requests.size());
         summary = build_summary_locked();
       }
       std::array<std::uint8_t, kSummaryFrameBytes> frame{};
@@ -403,7 +400,6 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
       {
         const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
         quiesce_locked();
-        flush_barriers_locked();
         finish_locked();
         json = result.obs.to_json();
       }
@@ -456,24 +452,14 @@ void Daemon::Impl::enqueue(Envelope&& envelope) {
 }
 
 void Daemon::Impl::maybe_barrier(std::uint64_t index) {
-  const std::vector<std::uint64_t>& triggers = engine->triggers();
-  if (triggers.empty()) return;
-  // Epoch rule, as in the replay (epoch_end = trigger + 1): the barrier
-  // for trigger t fires before any request with index > t is dispatched.
-  // The fast path is one relaxed-ish atomic read.
-  std::size_t pending = next_trigger.load(std::memory_order_acquire);
-  while (pending < triggers.size() && triggers[pending] < index) {
-    {
-      const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
-      pending = next_trigger.load(std::memory_order_relaxed);
-      if (pending < triggers.size() && triggers[pending] < index) {
-        quiesce_locked();
-        barrier_locked(triggers[pending]);
-        next_trigger.store(pending + 1, std::memory_order_release);
-      }
-    }
-    pending = next_trigger.load(std::memory_order_acquire);
-  }
+  // The epoch rule, as in the replay: the barrier for trigger t runs
+  // before any request with index > t is dispatched. The fast path is one
+  // atomic load; the check repeats under the dispatch lock because
+  // another reader may have advanced the engine meanwhile.
+  if (index < engine->epoch_end()) return;
+  const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
+  if (index < engine->epoch_end()) return;
+  advance_locked(index);
 }
 
 void Daemon::Impl::quiesce_locked() {
@@ -482,21 +468,12 @@ void Daemon::Impl::quiesce_locked() {
   for (const auto& worker : workers) worker->inbound.wait_idle();
 }
 
-void Daemon::Impl::flush_barriers_locked() {
-  const std::vector<std::uint64_t>& triggers = engine->triggers();
-  std::size_t pending = next_trigger.load(std::memory_order_relaxed);
-  while (pending < triggers.size()) {
-    barrier_locked(triggers[pending]);
-    ++pending;
-    next_trigger.store(pending, std::memory_order_release);
-  }
-}
-
-void Daemon::Impl::barrier_locked(std::uint64_t trigger) {
-  // Every worker is parked, so the new generation serves exactly the
+void Daemon::Impl::advance_locked(std::uint64_t index) {
+  // Every worker is parked, so each new generation serves exactly the
   // replay's "requests from the next epoch on".
+  quiesce_locked();
   populate_wire_metrics();
-  engine->barrier(trigger);
+  engine->advance(index);
 }
 
 void Daemon::Impl::worker_loop(std::size_t s) {
@@ -620,7 +597,8 @@ void Daemon::Impl::populate_wire_metrics() {
 
 void Daemon::Impl::finish_locked() {
   // Every step is an assignment over cumulative state, so re-running it
-  // (report frame, then stop) is idempotent.
+  // (report frame, then stop) is idempotent. The engine's finish() runs
+  // any retrain barrier still pending first.
   populate_wire_metrics();
   result = engine->finish(workers.size());  // one worker per shard
   result.obs.source = "otacd";
@@ -658,7 +636,6 @@ void Daemon::Impl::stop() {
     }
     {
       const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
-      flush_barriers_locked();
       finish_locked();
     }
     finalized.store(true, std::memory_order_release);

@@ -6,16 +6,18 @@
 // generate the same seeded trace, so GET frames address requests by trace
 // index and the server retains everything the in-process replay has — the
 // photo catalog, the next-access oracle for training labels, the criteria
-// M, and the precomputed retrain-trigger schedule. Serving, retraining and
-// reporting are the very ShardEngine calls ShardedCache::run makes, which
-// is what lets a loopback run reproduce the replay's RunResult
-// bit-for-bit (the e2e determinism test pins it), while the transport
-// underneath is real sockets, real threads, and real backpressure.
+// M, and the engine's retrain triggers. Serving, retraining and reporting
+// are the very ShardEngine calls ShardedCache::run makes, which is what
+// lets a loopback run reproduce the replay's RunResult bit-for-bit (the
+// e2e determinism test pins it), while the transport underneath is real
+// sockets, real threads, and real backpressure.
 //
 // Threading model (DESIGN.md §15):
 //   acceptor thread        poll+accept loop, bounded by the stop flag
 //   connection threads     one per client: read frames in order, decode,
-//                          run retrain barriers at trigger crossings, and
+//                          advance the engine when a GET reaches its
+//                          epoch end (quiesce, then ShardEngine::advance
+//                          under the exclusive dispatch lock), and
 //                          dispatch into the owning shard's bounded queue
 //   shard workers          one per shard; each gathers <=64 queued
 //                          requests and hands each run of GETs to
@@ -96,8 +98,8 @@ class Daemon {
   void wait_for_shutdown();
 
   /// Graceful stop: close the listener, drain every shard queue, join all
-  /// threads, fire any remaining retrain barriers, and assemble the final
-  /// RunResult. Idempotent.
+  /// threads, and assemble the final RunResult through ShardEngine::finish,
+  /// which runs any remaining retrain barriers. Idempotent.
   void stop();
 
   /// Server-side result of everything served so far. Valid after stop().

@@ -43,8 +43,8 @@ constexpr double kBaseScale = 0.05;
 
 /// Sub-millisecond backoff so fault replays spend their time serving, not
 /// sleeping between retries.
-[[nodiscard]] BackoffConfig fast_backoff() {
-  return {.base_s = 1e-6, .cap_s = 1e-4};
+[[nodiscard]] BackoffConfig fast_backoff(int max_retries) {
+  return {.base_s = 1e-6, .cap_s = 1e-4, .max_retries = max_retries};
 }
 
 /// Append a photo cloned from / shaped like `meta`, keeping latent_score
@@ -262,8 +262,7 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
   s.faults.push_back({"checkpoint.rename.fail", window(5, 5)});
   s.faults.push_back({"checkpoint.write.crash", window(6, 6)});
   s.faults.push_back({"checkpoint.load.io", window(1, 2)});
-  s.resilience.checkpoint.max_retries = 6;
-  s.resilience.checkpoint.backoff = fast_backoff();
+  s.resilience.checkpoint.backoff = fast_backoff(6);
   s.checkpoint = CheckpointPhase::during_replay;
   return s;
 }
@@ -297,10 +296,8 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
   }
   s.resilience.overload.enabled = true;
   s.resilience.overload.flash_crowd_burst = 150.0;
-  s.resilience.watchdog.max_retries = 3;
-  s.resilience.watchdog.backoff = fast_backoff();
-  s.resilience.checkpoint.max_retries = 8;
-  s.resilience.checkpoint.backoff = fast_backoff();
+  s.resilience.watchdog.backoff = fast_backoff(3);
+  s.resilience.checkpoint.backoff = fast_backoff(8);
   s.resilience.ssd_write_max_retries = 2;
   s.checkpoint = CheckpointPhase::after_replay;
   return s;
@@ -346,8 +343,7 @@ Trace make_cloud_block_trace(std::uint64_t seed, double scale) {
       "bit-identical to the fault-free golden",
       &make_base_trace);
   s.faults.push_back({"trainer.train.fail", once()});
-  s.resilience.watchdog.max_retries = 2;
-  s.resilience.watchdog.backoff = fast_backoff();
+  s.resilience.watchdog.backoff = fast_backoff(2);
   s.golden_identical = true;
   return s;
 }

@@ -9,8 +9,7 @@ namespace otac {
 namespace {
 
 Trace make_manual_trace(const std::vector<PhotoId>& sequence,
-                        std::uint32_t size_bytes,
-                        std::int64_t seconds_apart = 1) {
+                        std::uint32_t size_bytes) {
   Trace trace;
   PhotoId max_id = 0;
   for (const PhotoId id : sequence) max_id = std::max(max_id, id);
@@ -19,12 +18,11 @@ Trace make_manual_trace(const std::vector<PhotoId>& sequence,
   trace.catalog = PhotoCatalog{std::move(photos), {OwnerMeta{}}};
   for (std::size_t i = 0; i < sequence.size(); ++i) {
     Request r;
-    r.time = SimTime{static_cast<std::int64_t>(i) * seconds_apart};
+    r.time = SimTime{static_cast<std::int64_t>(i)};
     r.photo = sequence[i];
     trace.requests.push_back(r);
   }
-  trace.horizon =
-      SimTime{static_cast<std::int64_t>(sequence.size()) * seconds_apart};
+  trace.horizon = SimTime{static_cast<std::int64_t>(sequence.size())};
   return trace;
 }
 
@@ -106,28 +104,6 @@ TEST(Simulator, OracleAdmissionHonoursThreshold) {
   const CacheStats stats = sim.run(cache, admission);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.insertions, 0u);
-}
-
-TEST(Simulator, DayCallbackFiresOnBoundaries) {
-  const Trace trace =
-      make_manual_trace({1, 2, 3, 4, 5}, 10, kSecondsPerDay / 2);
-  LruCache cache{1000};
-  AlwaysAdmit admission;
-  Simulator sim{trace};
-  std::vector<std::int64_t> days;
-  std::vector<std::uint64_t> indices;
-  sim.set_day_callback([&](std::int64_t day, std::uint64_t index) {
-    days.push_back(day);
-    indices.push_back(index);
-  });
-  (void)sim.run(cache, admission);
-  // Times: 0, .5d, 1d, 1.5d, 2d -> days 0 (at idx 0), 1 (idx 2), 2 (idx 4).
-  ASSERT_EQ(days.size(), 3u);
-  EXPECT_EQ(days[0], 0);
-  EXPECT_EQ(days[1], 1);
-  EXPECT_EQ(days[2], 2);
-  EXPECT_EQ(indices[1], 2u);
-  EXPECT_EQ(indices[2], 4u);
 }
 
 TEST(Simulator, GeneratedTraceSanity) {

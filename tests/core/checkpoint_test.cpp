@@ -258,7 +258,7 @@ TEST_F(CheckpointTest, HugeDeclaredCountsRejectedWithoutAllocation) {
 CheckpointRetryConfig fast_retry(int max_retries,
                                  bool read_only_on_exhaustion = true) {
   CheckpointRetryConfig config;
-  config.max_retries = max_retries;
+  config.backoff.max_retries = max_retries;
   config.backoff.base_s = 1e-6;
   config.backoff.cap_s = 1e-5;
   config.read_only_on_exhaustion = read_only_on_exhaustion;

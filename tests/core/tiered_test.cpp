@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "core/sharded_cache.h"
 #include "trace/trace_generator.h"
 
 namespace otac {
@@ -107,6 +110,57 @@ TEST(Tiered, CombinedBeatsSingleTierOfSameOcSize) {
       system, tier(oc_capacity), tier(1, AdmissionMode::bypass));
 
   EXPECT_GT(tiered.combined_hit_rate(), oc_only.combined_hit_rate());
+}
+
+CacheStats stats_of(std::uint64_t requests, std::uint64_t hits,
+                    std::uint64_t request_bytes, std::uint64_t hit_bytes,
+                    std::uint64_t insertions, std::uint64_t inserted_bytes,
+                    std::uint64_t evictions, std::uint64_t evicted_bytes,
+                    std::uint64_t rejected, std::uint64_t rejected_bytes,
+                    std::uint64_t refused, std::uint64_t eviction_hash) {
+  CacheStats stats;
+  stats.requests = requests;
+  stats.hits = hits;
+  stats.request_bytes = std::bit_cast<double>(request_bytes);
+  stats.hit_bytes = std::bit_cast<double>(hit_bytes);
+  stats.insertions = insertions;
+  stats.inserted_bytes = std::bit_cast<double>(inserted_bytes);
+  stats.evictions = evictions;
+  stats.evicted_bytes = std::bit_cast<double>(evicted_bytes);
+  stats.rejected = rejected;
+  stats.rejected_bytes = std::bit_cast<double>(rejected_bytes);
+  stats.refused = refused;
+  stats.eviction_hash = eviction_hash;
+  return stats;
+}
+
+TEST(Tiered, ProposalTiersWithRetrainsArePinned) {
+  // Both tiers in Proposal mode on a trace with daily retrains: each
+  // engine runs its own barriers while the DC engine serves only the OC's
+  // misses. The literals were recorded before the engines took over the
+  // trigger walk from run_tiered, so they pin its epoch cuts too.
+  WorkloadConfig config;
+  config.num_owners = 500;
+  config.num_photos = 12'000;
+  const Trace trace = TraceGenerator{config}.generate();
+  ASSERT_GE(retrain_trigger_indices(trace, OtaConfig{}).size(), 2u);
+  const IntelligentCache system{trace};
+  const double dataset = system.total_object_bytes();
+  const TieredStats stats = run_tiered(
+      system,
+      tier(static_cast<std::uint64_t>(dataset * 0.005),
+           AdmissionMode::proposal),
+      tier(static_cast<std::uint64_t>(dataset * 0.02),
+           AdmissionMode::proposal));
+  EXPECT_EQ(stats.oc,
+            stats_of(47459u, 25102u, 0x41de29b243000000u, 0x41d12abb64400000u,
+                     2522u, 0x41985645a0000000u, 2475u, 0x4197c6a25c000000u,
+                     19835u, 0x41c6f32509800000u, 0u, 0x0d1ba670cfa96da2u));
+  EXPECT_EQ(stats.dc,
+            stats_of(22357u, 3252u, 0x41c9fdedbd800000u, 0x419f514eac000000u,
+                     2231u, 0x4195ad5fc4000000u, 2001u, 0x41936f5358000000u,
+                     16874u, 0x41c35e17ef800000u, 0u, 0xa2a1dc7e8ecabfd3u));
+  EXPECT_EQ(stats.backend_reads, 22357u - 3252u);
 }
 
 TEST(TieredStatsStruct, EmptyIsZero) {

@@ -85,7 +85,7 @@ TEST_F(WatchdogTest, InlineSkipsOnTooFewSamples) {
 TEST_F(WatchdogTest, InlineZeroRetriesMatchesHistoricalTryCatch) {
   if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
-  TrainerWatchdog watchdog{h.trainer, WatchdogConfig{}};  // max_retries = 0
+  TrainerWatchdog watchdog{h.trainer, WatchdogConfig{}};  // no retries
   fail::Registry::instance().enable("trainer.train.fail");
   const RetrainOutcome outcome =
       watchdog.retrain(h.real_samples(), h.cutoff(), h.cutoff_time());
@@ -99,7 +99,7 @@ TEST_F(WatchdogTest, InlineRetryAbsorbsTransientFailure) {
   if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   WatchdogConfig config;
-  config.max_retries = 2;
+  config.backoff.max_retries = 2;
   TrainerWatchdog watchdog{h.trainer, config};
   // Fires on the first evaluation only: the retry lands on a clean trainer
   // (the failpoint throws before any state mutation).
@@ -114,7 +114,7 @@ TEST_F(WatchdogTest, InlineTerminalFailureAfterBudget) {
   if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   WatchdogConfig config;
-  config.max_retries = 2;
+  config.backoff.max_retries = 2;
   TrainerWatchdog watchdog{h.trainer, config};
   fail::Registry::instance().enable("trainer.train.fail");  // always
   const RetrainOutcome outcome =

@@ -28,6 +28,11 @@ void Engine::reply() {
   std::lock_guard<std::mutex> inner(sink_mutex_);   // rank 5 -> lock-order
 }
 
+void Engine::drain(ServingEngine* serving) {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  serving->advance(0);  // retrain barriers under a queue lock
+}
+
 void Engine::audited() {
   std::lock_guard<std::mutex> lock(state_mutex_);
   // otac-analyze: allow(lock-io)  audited: startup banner, not hot

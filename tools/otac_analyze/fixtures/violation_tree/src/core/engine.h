@@ -11,11 +11,16 @@
 
 namespace fixture {
 
+struct ServingEngine {
+  void advance(unsigned long index);
+};
+
 class Engine {
  public:
   void hot_path();
   void reply();
   void audited();
+  void drain(ServingEngine* serving);
 
  private:
   std::mutex state_mutex_;

@@ -180,6 +180,8 @@ WAIT_PATTERNS = [
 
 TRAINER_PATTERNS = [
     re.compile(r"(?:\.|->)\s*(?:train|retrain|fit)\s*\("),
+    # ShardEngine calls that run pending retrain barriers, fits included.
+    re.compile(r"(?:\.|->)\s*(?:advance|finish|replay)\s*\("),
 ]
 
 # class -> categories banned while held
@@ -199,7 +201,7 @@ CATEGORY_PATTERNS = {
 CATEGORY_LABEL = {
     "lock-io": "file/socket I/O",
     "lock-wait": "condition wait / sleep",
-    "lock-trainer": "trainer fit",
+    "lock-trainer": "trainer fit or retrain barrier",
 }
 
 ALLOW_RE = re.compile(r"otac-analyze:\s*allow\(([a-z0-9\-,\s]+)\)")

@@ -35,7 +35,8 @@ EXPECTED_TREE = {
     "include-unresolved": 1,   # missing/gone.h
     "lock-io": 1,              # fprintf under hot lock (2nd site suppressed)
     "lock-wait": 1,            # cv_.wait under hot lock
-    "lock-trainer": 1,         # ->fit under hot lock
+    "lock-trainer": 2,         # ->fit under hot lock, ->advance under
+                               # queue lock
     "lock-order": 1,           # rank 5 acquired under rank 20
     "lock-registry": 2,        # unregistered rogue_mutex_ + stale entry
     "lock-guard": 1,           # guard on the unregistered mutex
@@ -202,6 +203,19 @@ class LockWindowTest(unittest.TestCase):
         }
         """)
         self.assertEqual(dict(hits), {"lock-trainer": 1})
+
+    def test_engine_barrier_calls_while_held_are_flagged(self):
+        # advance/finish/replay run the engine's pending retrain barriers,
+        # so each is a fit as far as the lock classes are concerned.
+        hits = self._run_tree("""
+        void worker(ShardEngine& engine, ShardEngine* other) {
+          std::lock_guard<std::mutex> lock(mutex_);
+          engine.advance(7);
+          other->finish(1);
+          engine.replay(2);
+        }
+        """)
+        self.assertEqual(dict(hits), {"lock-trainer": 3})
 
 
 class CleanTreeTest(unittest.TestCase):

@@ -55,7 +55,8 @@ int run(const FlagParser& flags) {
            "  --flash-burst W      work units injected at epoch starts (0)\n"
            "  --watchdog-timeout S threaded retrain budget in seconds\n"
            "                       (0 = inline deterministic retrains)\n"
-           "  --watchdog-retries N retrain retries after timeout (0)\n"
+           "  --watchdog-retries N retries of a throwing retrain per\n"
+           "                       barrier (0)\n"
            "  --queue-capacity N   inbound frames buffered per shard (1024)\n"
            "  --retry-when-full    reply RETRY instead of blocking the\n"
            "                       connection reader on a full shard queue\n"
@@ -93,7 +94,7 @@ int run(const FlagParser& flags) {
   config.run.resilience.overload.flash_crowd_burst =
       flags.get("flash-burst", 0.0);
   config.run.resilience.watchdog.timeout_s = flags.get("watchdog-timeout", 0.0);
-  config.run.resilience.watchdog.max_retries = static_cast<std::uint32_t>(
+  config.run.resilience.watchdog.backoff.max_retries = static_cast<int>(
       flags.get("watchdog-retries", std::int64_t{0}));
   config.run.resilience.watchdog.backoff_seed = seed;
   config.host = flags.get("host", std::string{"127.0.0.1"});
