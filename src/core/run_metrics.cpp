@@ -7,6 +7,11 @@ std::vector<double> duration_histogram_bounds_s() {
           0.2,   0.5,   1.0,   2.0,  5.0,  10.0, 60.0};
 }
 
+std::vector<double> publish_wait_histogram_bounds_s() {
+  return {1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 0.001, 0.002, 0.005,
+          0.01, 0.02, 0.05, 0.1,  0.2,  0.5,  1.0};
+}
+
 std::vector<double> admission_batch_histogram_bounds() {
   return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
 }

@@ -29,6 +29,9 @@ inline constexpr std::string_view kLatencyHistogramName =
 /// family in a report, and tooling (the golden test, diff scripts) filters
 /// on that suffix.
 inline constexpr std::string_view kFitHistogramName = "trainer.fit_seconds";
+/// With a publish lag: seconds each publish point blocked on its fit.
+inline constexpr std::string_view kPublishWaitHistogramName =
+    "trainer.publish_wait_seconds";
 /// Per-shard admission micro-batch sizes (requests per batched classify;
 /// deterministic — batch boundaries are a pure function of the trace and
 /// the retrain schedule).
@@ -37,6 +40,11 @@ inline constexpr std::string_view kAdmissionBatchHistogramName =
 
 /// Wall-clock duration grid (seconds): 1 ms .. 60 s in a 1-2-5 ladder.
 [[nodiscard]] std::vector<double> duration_histogram_bounds_s();
+
+/// The publish-wait grid (seconds): 10 us .. 1 s in a 1-2-5 ladder. A
+/// lagged publish usually waits tens of microseconds, below the duration
+/// grid's first bucket.
+[[nodiscard]] std::vector<double> publish_wait_histogram_bounds_s();
 
 /// Power-of-two grid for admission batch sizes: 1, 2, 4, ... up to
 /// ServingCore::kAdmissionBatchCapacity.

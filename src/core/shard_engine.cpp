@@ -38,11 +38,12 @@ struct ShardEngine::Shard {
 };
 
 ShardEngine::ShardEngine(const IntelligentCache& system,
-                         const RunConfig& config)
+                         const RunConfig& config, std::uint64_t publish_lag)
     : system_(&system),
       trace_(&system.trace()),
       oracle_(&system.oracle()),
       config_(config),
+      publish_lag_(publish_lag),
       is_proposal_(config.mode == AdmissionMode::proposal),
       schedule_(config.ota) {
   if (config.capacity_bytes == 0) {
@@ -121,18 +122,24 @@ ShardEngine::ShardEngine(const IntelligentCache& system,
         });
   }
 
-  // The trainer side: only barriers touch it. With the default
-  // WatchdogConfig (inline, zero retries) supervision is exactly the
-  // historical try/catch-once barrier.
+  // The trainer side: only barriers and the watchdog's worker touch it.
+  // With the default WatchdogConfig (inline, zero retries) and no lag,
+  // supervision is exactly the historical try/catch-once barrier; a lag
+  // fits on the worker so the shards can serve meanwhile.
   // otac-lint: allow(hotpath-alloc)
   trainer_ = std::make_unique<DailyTrainer>(*oracle_, config.ota,
                                             result_.criteria.m,
                                             result_.cost_v);
+  const bool lagged = is_proposal_ && publish_lag_ > 0;
   // otac-lint: allow(hotpath-alloc)
-  watchdog_ = std::make_unique<TrainerWatchdog>(*trainer_,
-                                                config.resilience.watchdog);
+  watchdog_ = std::make_unique<TrainerWatchdog>(
+      *trainer_, config.resilience.watchdog, /*fit_on_worker=*/lagged);
   fit_seconds_ = global_registry_.histogram(kFitHistogramName,
                                             duration_histogram_bounds_s());
+  if (lagged) {
+    publish_wait_seconds_ = global_registry_.histogram(
+        kPublishWaitHistogramName, publish_wait_histogram_bounds_s());
+  }
   fits_ = global_registry_.counter("trainer.fits");
   fit_skipped_ = global_registry_.counter("trainer.fit_skipped");
   models_published_ = global_registry_.counter("trainer.models_published");
@@ -140,6 +147,7 @@ ShardEngine::ShardEngine(const IntelligentCache& system,
   compiled_tree_swaps_ =
       global_registry_.counter("trainer.compiled_tree_swaps");
   if (is_proposal_) triggers_ = retrain_trigger_indices(*trace_, schedule_);
+  store_epoch_end();
 }
 
 ShardEngine::~ShardEngine() = default;
@@ -326,39 +334,78 @@ void ShardEngine::upsert(std::size_t s, PhotoId photo) {
 }
 
 std::uint64_t ShardEngine::epoch_end() const noexcept {
-  const std::size_t next = next_trigger_.load(std::memory_order_acquire);
-  return next < triggers_.size() ? triggers_[next] + 1
-                                 : trace_->requests.size();
+  return epoch_end_.load(std::memory_order_acquire);
+}
+
+std::uint64_t ShardEngine::next_event() const noexcept {
+  // A pending publish point never lies past the next trigger.
+  if (publish_at_.has_value()) return *publish_at_;
+  return next_trigger_ < triggers_.size() ? triggers_[next_trigger_]
+                                          : kNoEvent;
 }
 
 void ShardEngine::advance(std::uint64_t index) {
-  std::size_t next = next_trigger_.load(std::memory_order_relaxed);
-  while (next < triggers_.size() && triggers_[next] < index) {
-    barrier(triggers_[next]);
-    next_trigger_.store(++next, std::memory_order_release);
+  while (next_event() < index) {
+    if (publish_at_.has_value()) {
+      publish_pending();
+    } else {
+      barrier(triggers_[next_trigger_++]);
+    }
+    // Stored whole after each event: a reader never sees an epoch end
+    // past an event still pending.
+    store_epoch_end();
   }
 }
 
+void ShardEngine::store_epoch_end() noexcept {
+  const std::uint64_t next = next_event();
+  epoch_end_.store(next == kNoEvent ? trace_->requests.size() : next + 1,
+                   std::memory_order_release);
+}
+
 void ShardEngine::barrier(std::uint64_t trigger) {
-  // Cold: once per retrain trigger. Drain the shard buffers into the
-  // global trainer, merged in trace order so the training set (and its
-  // window pruning) is independent of both shard count and scheduling.
-  // Each buffer is already index-ascending, so a k-way merge does it.
-  std::vector<const std::deque<TrainingSample>*> buffers(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    buffers[s] = &shards_[s].sampler->samples();
-  }
-  std::vector<TrainingSample> drained = merge_by_index(buffers);
+  // Cold: once per retrain trigger. Move the shard buffers out; the
+  // fitting side merges them in trace order (each is index-ascending, so
+  // a k-way merge does it), which makes the training set — and its window
+  // pruning — independent of both shard count and scheduling.
+  std::vector<std::deque<TrainingSample>> runs;
+  // otac-lint: allow(hotpath-alloc)
+  runs.reserve(shards_.size());
   for (Shard& shard : shards_) {
-    shard.sampler->restore({}, shard.sampler->current_minute(),
-                           shard.sampler->minute_count());
+    // otac-lint: allow(hotpath-alloc)
+    runs.push_back(shard.sampler->take_samples());
+    *samples_drained_ += runs.back().size();
   }
-  *samples_drained_ += drained.size();
   const SimTime time = trace_->requests[trigger].time;
   (void)schedule_.due(time);  // the trigger is due by construction
-  const auto fit_started = std::chrono::steady_clock::now();
-  RetrainOutcome outcome =
-      watchdog_->retrain(std::move(drained), trigger, time);
+  watchdog_->submit(std::move(runs), trigger, time);
+
+  // The publish point: at once while no model serves, else the lag after
+  // the trigger, capped at the next trigger (whose drain then follows the
+  // publish) and at the last request.
+  std::uint64_t at = trigger;
+  if (generation_.load(std::memory_order_relaxed) > 0) {
+    at = trigger + std::min(publish_lag_,
+                            trace_->requests.size() - 1 - trigger);
+    if (next_trigger_ < triggers_.size()) {
+      at = std::min(at, triggers_[next_trigger_]);
+    }
+  }
+  publish_at_ = at;
+  if (at == trigger) publish_pending();
+}
+
+void ShardEngine::publish_pending() {
+  const std::uint64_t at = *publish_at_;
+  publish_at_.reset();
+  const auto wait_started = std::chrono::steady_clock::now();
+  RetrainOutcome outcome = watchdog_->collect();
+  if (publish_wait_seconds_ != nullptr) {
+    publish_wait_seconds_->add(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wait_started)
+            .count());
+  }
   trainer_degradation_.retrain_retries +=
       static_cast<std::uint64_t>(outcome.retries);
   switch (outcome.status) {
@@ -383,16 +430,14 @@ void ShardEngine::barrier(std::uint64_t trigger) {
       ++trainer_degradation_.retrain_timeouts;
       break;
   }
-  fit_seconds_->add(std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - fit_started)
-                        .count());
+  fit_seconds_->add(outcome.fit_s);
 
   // Barrier snapshot: every shard is quiescent, so this merged view is a
   // pure function of trace position — the report's time-series.
   populate_registries();
   // otac-lint: allow(hotpath-alloc)
-  result_.obs.timeline.push_back(
-      obs::BarrierSample{trigger, time.seconds, merged_snapshot()});
+  result_.obs.timeline.push_back(obs::BarrierSample{
+      at, trace_->requests[at].time.seconds, merged_snapshot()});
 }
 
 bool ShardEngine::publish(ml::DecisionTree tree) {
@@ -531,6 +576,9 @@ ClassifierSnapshot ShardEngine::snapshot() const {
     throw std::invalid_argument(
         "ShardEngine::snapshot: needs one shard in proposal mode");
   }
+  if (publish_at_.has_value() || !watchdog_->idle()) {
+    throw std::logic_error("ShardEngine::snapshot: a fit is in flight");
+  }
   const Shard& shard = shards_[0];
   ClassifierSnapshot snap;
   snap.m = result_.criteria.m;
@@ -557,7 +605,7 @@ ClassifierSnapshot ShardEngine::snapshot() const {
 bool ShardEngine::restore(const ClassifierSnapshot& snapshot) {
   if (shards_.size() != 1 || !is_proposal_ ||
       generation_.load(std::memory_order_acquire) != 0 ||
-      next_trigger_.load(std::memory_order_acquire) != 0) {
+      next_trigger_ != 0) {
     throw std::invalid_argument(
         "ShardEngine::restore: needs one shard in proposal mode, before "
         "any barrier");
@@ -570,6 +618,7 @@ bool ShardEngine::restore(const ClassifierSnapshot& snapshot) {
                          snapshot.trainer_minute_count);
   schedule_.restore(snapshot.last_trained_day, snapshot.last_trained_time);
   triggers_ = retrain_trigger_indices(*trace_, schedule_);
+  store_epoch_end();
   result_.trainings = snapshot.trainings;
 
   if (snapshot.model_blob.empty()) return true;  // admit-all until a retrain

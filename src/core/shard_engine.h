@@ -11,8 +11,8 @@
 // ServingCore, sampler, fluid ShardQueue, metrics registry, latency
 // recorder, model snapshot, CacheStats), the shared ModelSlot with the
 // last published tree, the trainer with its TrainerWatchdog, the retrain
-// schedule, the trainer-side registry, and the retrain triggers with the
-// cursor over them. Its operations:
+// schedule, the trainer-side registry, the retrain triggers with the
+// cursor over them, and the pending publish point. Its operations:
 //
 //   serve_batch  serve up to kAdmissionBatchCapacity requests of one shard
 //                in every admission mode and overload state, through one
@@ -22,9 +22,10 @@
 //   upsert       the daemon's PUT: touch a resident photo, insert a
 //                missing one;
 //   epoch_end    the first trace index the current epoch cannot serve;
-//   advance      run the retrain barrier of every pending trigger below an
-//                index: drain the shard samplers, merge in trace order,
-//                fit under the watchdog, publish, snapshot;
+//   advance      run every pending retrain event below an index, in index
+//                order: at a trigger, drain the shard samplers and submit
+//                the fit (merged in trace order by the fitting side); at
+//                its publish point, collect the fit, publish, snapshot;
 //   replay       the whole trace: partition by shard_of_photo, serve each
 //                epoch on a pool, advance, finish;
 //   finish       advance to the end of the trace, then the end-of-run
@@ -32,22 +33,38 @@
 //   snapshot /   the single-shard serving state in the checkpoint format
 //   restore      (core/checkpoint.h).
 //
+// The publish lag L (a constructor argument, 0 by default) splits each
+// retrain in two. At trigger t the engine drains and submits the fit; it
+// publishes at request index t + L, or just before the next trigger's
+// drain if that comes first, or at the trace's last request. With L > 0
+// the fit runs on the watchdog's worker while shards serve [t+1, t+L]
+// with the previous model, and the publish point blocks only if the fit
+// has not finished. While no model serves, a fit publishes at its trigger
+// whatever L is: there is no last-good model to fail toward, and waiting
+// would only extend admit-all. L = 0 is the single barrier: drain, fit,
+// publish, snapshot, all at t.
+//
 // Threading contract: serve_batch/upsert on different shards may run
 // concurrently; calls on one shard must be serialized; epoch_end may be
 // called at any time; advance, totals, snapshot and finish require every
 // shard to be quiescent. Shards reload the published model once per
-// published generation, on their next batch.
+// published generation, on their next batch. The only thread the engine
+// starts is the watchdog's worker (with L > 0, or a watchdog timeout),
+// and only the trainer it fits with is shared with that thread.
 //
-// Determinism contract: the barrier for trigger t runs after request t is
-// served and before request t+1 is. The engine enforces it: serve_batch
-// throws std::logic_error for a row at or past epoch_end(), and a driver
-// moves the epoch on only through advance(). Then every result depends
-// only on trace order — never on batch boundaries, thread count or
-// scheduling.
+// Determinism contract: the events for index e (a trigger's drain, a
+// publish) run after request e is served and before request e+1 is. The
+// engine enforces it: serve_batch throws std::logic_error for a row at or
+// past epoch_end(), and a driver moves the epoch on only through
+// advance(). The publish point is a trace index and, without a watchdog
+// timeout, the publish waits for its fit, so every result depends only on
+// trace order and L — never on batch boundaries, thread count, fit speed
+// or scheduling.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -81,8 +98,9 @@ class ShardEngine {
   /// Validates `config` (std::invalid_argument on zero capacity, zero
   /// shards, or a capacity that splits to zero bytes per shard), computes
   /// the criteria, and builds every shard. `system` must outlive the
-  /// engine.
-  ShardEngine(const IntelligentCache& system, const RunConfig& config);
+  /// engine. `publish_lag` is L above, in requests.
+  ShardEngine(const IntelligentCache& system, const RunConfig& config,
+              std::uint64_t publish_lag = 0);
   ~ShardEngine();
 
   ShardEngine(const ShardEngine&) = delete;
@@ -107,14 +125,15 @@ class ShardEngine {
   /// GET-only.
   void upsert(std::size_t s, PhotoId photo);
 
-  /// The first trace index the current epoch cannot serve: the next
-  /// pending retrain trigger + 1, or the trace size when no trigger is
-  /// left (always, outside proposal mode). Safe to call while serve_batch
-  /// runs.
+  /// The first trace index the current epoch cannot serve: the index of
+  /// the next pending event (a publish, else a trigger) + 1, or the trace
+  /// size when none is left (always, outside proposal mode). Safe to call
+  /// while serve_batch runs.
   [[nodiscard]] std::uint64_t epoch_end() const noexcept;
 
-  /// Run, in order, the barrier of every pending trigger < `index`. Every
-  /// shard must be quiescent.
+  /// Run, in index order, every pending event at an index < `index`; at
+  /// one index a publish runs before a drain. Every shard must be
+  /// quiescent.
   void advance(std::uint64_t index);
 
   /// Totals so far, merged in shard order, without the report. Requires
@@ -135,9 +154,11 @@ class ShardEngine {
 
   /// The serving state of a single-shard proposal engine: criteria, the
   /// last published tree, history table, trainer reservoir, sampling
-  /// cursor and retrain schedule. Same preconditions as totals(), and no
-  /// fit in flight (always true with the inline watchdog). Throws
-  /// std::invalid_argument unless shards == 1 and the mode is proposal.
+  /// cursor and retrain schedule. Same preconditions as totals(). Throws
+  /// std::invalid_argument unless shards == 1 and the mode is proposal,
+  /// and std::logic_error while a fit is in flight (a publish pending, or
+  /// the worker still on an abandoned retrain), when the trainer belongs
+  /// to the worker.
   [[nodiscard]] ClassifierSnapshot snapshot() const;
 
   /// Install checkpointed state into a single-shard proposal engine that
@@ -153,8 +174,17 @@ class ShardEngine {
   struct Shard;
 
   bool insert(Shard& shard, const Request& request, const PhotoMeta& photo);
-  /// The retrain barrier at `trigger`, with every shard quiescent.
+  /// The drain at `trigger`, with every shard quiescent: merge the shard
+  /// samplers, submit the fit and schedule its publish point (publishing
+  /// at once when that is the trigger itself).
   void barrier(std::uint64_t trigger);
+  /// The pending publish point: collect the fit, publish, account and
+  /// take the barrier snapshot.
+  void publish_pending();
+  /// The index of the next pending event (the publish point, else the
+  /// next trigger), or kNoEvent.
+  [[nodiscard]] std::uint64_t next_event() const noexcept;
+  void store_epoch_end() noexcept;
   /// Validate, compile and store `tree` as the next generation, keeping
   /// the tree for snapshots. An unservable tree (failed validation, or too
   /// large for the slot) counts a rejected model and returns false; the
@@ -167,6 +197,7 @@ class ShardEngine {
   const Trace* trace_;
   const NextAccessInfo* oracle_;
   RunConfig config_;
+  std::uint64_t publish_lag_ = 0;
   bool is_proposal_ = false;
   std::size_t model_arity_ = 0;
   RunResult result_;  // criteria, cost, trainings, timeline as they accrue
@@ -185,16 +216,22 @@ class ShardEngine {
   DegradationCounters trainer_degradation_;
   obs::MetricsRegistry global_registry_;
   obs::FixedHistogram* fit_seconds_ = nullptr;
+  obs::FixedHistogram* publish_wait_seconds_ = nullptr;  // lag > 0 only
   obs::MetricsRegistry::Counter fits_ = nullptr;
   obs::MetricsRegistry::Counter fit_skipped_ = nullptr;
   obs::MetricsRegistry::Counter models_published_ = nullptr;
   obs::MetricsRegistry::Counter samples_drained_ = nullptr;
   obs::MetricsRegistry::Counter compiled_tree_swaps_ = nullptr;
-  // Request indices after which a barrier runs (proposal only), and the
-  // index of the next one pending. Only advance() moves the cursor;
-  // epoch_end() reads it from any thread.
+  // Request indices after which a drain runs (proposal only), the index
+  // of the next one pending, and the submitted fit's publish point. Only
+  // advance() moves them, and it stores each epoch end they yield
+  // whole, so epoch_end() can read it from any thread.
+  static constexpr std::uint64_t kNoEvent =
+      std::numeric_limits<std::uint64_t>::max();
   std::vector<std::uint64_t> triggers_;
-  std::atomic<std::size_t> next_trigger_{0};
+  std::size_t next_trigger_ = 0;
+  std::optional<std::uint64_t> publish_at_;
+  std::atomic<std::uint64_t> epoch_end_{0};
 };
 
 }  // namespace otac

@@ -14,6 +14,8 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <stop_token>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -98,8 +100,12 @@ class DailyTrainer {
 
   /// Fit a tree on samples inside the training window ending at `now`.
   /// Returns nullopt when there are too few samples or only one class.
-  [[nodiscard]] std::optional<ml::DecisionTree> train(std::uint64_t now_index,
-                                                      SimTime now);
+  /// `cancel` is the supervisor's handle on a hung train: with a stop
+  /// possible, the `trainer.train.hang` failpoint holds the caller until
+  /// stop is requested and then returns nullopt; without one (the inline
+  /// watchdog, which nothing could ever cancel) it stalls 250 ms.
+  [[nodiscard]] std::optional<ml::DecisionTree> train(
+      std::uint64_t now_index, SimTime now, std::stop_token cancel = {});
 
   [[nodiscard]] std::size_t sample_count() const noexcept {
     return samples_.size();
@@ -113,6 +119,12 @@ class DailyTrainer {
     return current_minute_;
   }
   [[nodiscard]] int minute_count() const noexcept { return minute_count_; }
+
+  /// Move the reservoir out, leaving it empty and the per-minute budget
+  /// cursor as it was (a shard sampler's drain at a retrain trigger).
+  [[nodiscard]] std::deque<TrainingSample> take_samples() noexcept {
+    return std::exchange(samples_, {});
+  }
 
   /// Replace the reservoir with checkpointed samples (time-ascending) and
   /// the per-minute budget cursor.

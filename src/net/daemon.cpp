@@ -233,7 +233,8 @@ void Daemon::Impl::start() {
   // Validates the RunConfig and builds every shard; throws before any
   // socket or thread exists.
   // otac-lint: allow(hotpath-alloc) one-time construction, not per-request
-  engine = std::make_unique<ShardEngine>(*system, config.run);
+  engine = std::make_unique<ShardEngine>(*system, config.run,
+                                         config.publish_lag_requests);
   const LatencyModel latency{config.run.latency};
   const bool classified_path = classifies(config.run.mode);
   hit_latency_us = latency.request_latency_us(true, classified_path);

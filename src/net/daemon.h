@@ -19,6 +19,10 @@
 //                          epoch end (quiesce, then ShardEngine::advance
 //                          under the exclusive dispatch lock), and
 //                          dispatch into the owning shard's bounded queue
+//   trainer worker         the engine's watchdog worker: with a publish
+//                          lag (the default) each retrain fits there
+//                          while the shards serve on; the reader that
+//                          reaches the publish point waits for it
 //   shard workers          one per shard; each gathers <=64 queued
 //                          requests and hands each run of GETs to
 //                          ShardEngine::serve_batch (PUTs to
@@ -35,12 +39,22 @@
 // admitted miss the policy refused (object larger than the shard) or
 // whose SSD write was dropped answers MISS_REJECTED.
 //
+// Retrain stalls: a trigger's drain quiesces every shard (to take their
+// sample buffers at a trace-determined point), but the fit does not: with
+// publish_lag_requests = L > 0 the model trained at trigger t first
+// serves request t + L + 1, and only a fit slower than L requests of
+// traffic stalls the publish point. The first model publishes at its
+// trigger (nothing serves yet). L = 0 is the single barrier of the
+// in-process replay: drain, fit and publish with the shards stopped.
+//
 // Determinism contract: with one client connection sending GET frames in
-// trace-index order, the default blocking dispatch, and an inline
-// watchdog, the server-side RunResult equals ShardedCache::run on the
-// same RunConfig — including the eviction hash. Multiple connections or
-// retry_when_full keep all safety properties (TSan-clean, bounded queues)
-// but order shed/degraded transitions by arrival, not by trace.
+// trace-index order, the default blocking dispatch, and a watchdog
+// without a timeout, the server-side RunResult equals the in-process
+// replay at the same lag (ShardEngine{system, run, L}.replay; at L = 0,
+// ShardedCache::run on the same RunConfig) — including the eviction
+// hash. Multiple connections or retry_when_full keep all safety
+// properties (TSan-clean, bounded queues) but order shed/degraded
+// transitions by arrival, not by trace.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +69,10 @@ struct DaemonConfig {
   /// Serving configuration: mode, policy, capacity, shards, resilience.
   /// `run.threads` is ignored — the daemon runs one worker per shard.
   RunConfig run;
+  /// Requests between a retrain trigger and the publish of its model
+  /// (ShardEngine's publish lag): the fit runs off the serving path while
+  /// the previous model serves them. 0 stops the shards for the fit.
+  std::uint64_t publish_lag_requests = 1024;
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned (read back via port())
   /// Physical inbound frames buffered per shard before backpressure.

@@ -87,6 +87,7 @@ inline constexpr std::string_view kKnownHistograms[] = {
     "latency.request_us",   // core/run_metrics.h kLatencyHistogramName
     "serving.admission_batch_size",  // kAdmissionBatchHistogramName
     "trainer.fit_seconds",  // core/run_metrics.h kFitHistogramName
+    "trainer.publish_wait_seconds",  // kPublishWaitHistogramName
 };
 
 [[nodiscard]] constexpr bool is_known_metric(std::string_view name) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <deque>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -136,11 +138,52 @@ TEST_F(WatchdogTest, ThreadedCompletesWithinTimeout) {
   EXPECT_TRUE(outcome.tree.has_value());
 }
 
+TEST_F(WatchdogTest, WorkerWithoutTimeoutFitsTheInlineTree) {
+  TrainerHarness inline_h;
+  TrainerWatchdog inline_watchdog{inline_h.trainer, WatchdogConfig{}};
+  const RetrainOutcome expected = inline_watchdog.retrain(
+      inline_h.real_samples(), inline_h.cutoff(), inline_h.cutoff_time());
+  ASSERT_EQ(expected.status, RetrainOutcome::Status::trained);
+
+  // The same samples as two shard runs; the worker merges them by index.
+  TrainerHarness h;
+  std::vector<std::deque<TrainingSample>> runs(2);
+  for (const TrainingSample& sample : h.real_samples()) {
+    runs[sample.index % 3 == 0 ? 0 : 1].push_back(sample);
+  }
+  TrainerWatchdog watchdog{h.trainer, WatchdogConfig{},
+                           /*fit_on_worker=*/true};
+  EXPECT_TRUE(watchdog.threaded());
+  EXPECT_THROW((void)watchdog.collect(), std::logic_error);
+  watchdog.submit(std::move(runs), h.cutoff(), h.cutoff_time());
+  EXPECT_FALSE(watchdog.idle());
+  EXPECT_THROW(watchdog.submit({}, h.cutoff(), h.cutoff_time()),
+               std::logic_error);
+  const RetrainOutcome outcome = watchdog.collect();
+  EXPECT_TRUE(watchdog.idle());
+  ASSERT_EQ(outcome.status, RetrainOutcome::Status::trained);
+  EXPECT_EQ(outcome.tree->serialize(), expected.tree->serialize());
+}
+
+TEST_F(WatchdogTest, WorkerWithoutTimeoutWaitsOutAHang) {
+  if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
+  // Without a timeout nothing can cancel, so the hang is the bounded
+  // stall of the inline watchdog and the collect simply waits for it.
+  TrainerHarness h;
+  TrainerWatchdog watchdog{h.trainer, WatchdogConfig{},
+                           /*fit_on_worker=*/true};
+  fail::Registry::instance().enable_once("trainer.train.hang");
+  const RetrainOutcome outcome =
+      watchdog.retrain(h.real_samples(), h.cutoff(), h.cutoff_time());
+  EXPECT_EQ(outcome.status, RetrainOutcome::Status::trained);
+  EXPECT_GE(outcome.fit_s, 0.25);
+}
+
 TEST_F(WatchdogTest, ThreadedHangTimesOutBuffersAndRecovers) {
   if (!fail::kSitesCompiled) GTEST_SKIP() << "OTAC_FAILPOINTS=OFF";
   TrainerHarness h;
   WatchdogConfig config;
-  config.timeout_s = 0.02;  // 20 ms vs the 250 ms scripted hang
+  config.timeout_s = 0.02;  // 20 ms vs a hang held until cancel()
   TrainerWatchdog watchdog{h.trainer, config};
   fail::Registry::instance().enable_once("trainer.train.hang");
 
@@ -168,13 +211,20 @@ TEST_F(WatchdogTest, ThreadedHangTimesOutBuffersAndRecovers) {
   EXPECT_EQ(busy.status, RetrainOutcome::Status::busy);
   EXPECT_GT(watchdog.buffered_samples(), 0u);
 
-  // Let the hang drain; its (stale) result must have been discarded, and
-  // a later barrier ingests the buffered samples and trains normally. A
+  // The hang holds the worker until cancelled, so every barrier until
+  // then finds it busy, however long the wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const RetrainOutcome still_busy = watchdog.retrain({}, h.cutoff(),
+                                                     h.cutoff_time());
+  EXPECT_EQ(still_busy.status, RetrainOutcome::Status::busy);
+
+  // Cancel the hang; its (stale) result must have been discarded, and a
+  // later barrier ingests the buffered samples and trains normally. A
   // real fit is not bounded by the 20 ms timeout (a sanitizer build on a
-  // loaded box can take longer, and the hung job ends with one too), so a
-  // recovery barrier may find the worker busy or time out itself; keep
-  // holding barriers until one trains.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  // loaded box can take longer), so a recovery barrier may find the
+  // worker busy or time out itself; keep holding barriers until one
+  // trains.
+  watchdog.cancel();
   RetrainOutcome recovered =
       watchdog.retrain({}, h.cutoff(), h.cutoff_time());
   const auto give_up =
